@@ -24,6 +24,7 @@ from .graphs import (
     parse_graph,
     parse_protocol,
     protocol_json,
+    require_open_unit,
 )
 from .optimizer import PiecewiseReliability
 from .polys import Poly, parse_rational
@@ -46,16 +47,17 @@ def _poly_json(poly: Poly) -> list[str]:
     return poly.to_strings()
 
 
-def _interval_json(root: AlgebraicNumber) -> list[str]:
-    root.refine_below(OUTPUT_WIDTH)
-    return [str(root.lo), str(root.hi)]
+def _breakpoint_json(root: AlgebraicNumber, order: int) -> dict:
+    """The breakpoint's canonical dyadic cell, so the printed interval
+    depends only on the root and not on how it was isolated; a root that
+    turns out rational is printed exactly, with its linear factor."""
+    lo, hi = root.dyadic_cell(OUTPUT_WIDTH)
+    poly = Poly((-lo, 1)) if lo == hi else root.poly
+    return {"interval": [str(lo), str(hi)], "poly": _poly_json(poly), "order": order}
 
 
 def _piecewise_json(pw: PiecewiseReliability) -> dict:
-    bps = [
-        {"interval": _interval_json(bp.root), "poly": _poly_json(bp.root.poly), "order": bp.order}
-        for bp in pw.breakpoints
-    ]
+    bps = [_breakpoint_json(bp.root, bp.order) for bp in pw.breakpoints]
     bounds = ["0"] + [f"bp{i}" for i in range(len(bps))] + ["1"]
     pieces = [
         {
@@ -221,9 +223,10 @@ def _run(args, stdin, stdout) -> None:
     elif cmd == "reliability":
         protocol = _load_protocol(args.protocol, graph)
         fn = reliability.rho_prime_A if args.prime else reliability.rho_A
+        at = None if args.at is None else require_open_unit(parse_rational(args.at))
         poly = fn(protocol, probmap, threads, guard)
-        if args.at is not None:
-            emit({"value": str(poly(parse_rational(args.at)))})
+        if at is not None:
+            emit({"value": str(poly(at))})
         else:
             emit({"poly": _poly_json(poly)})
     elif cmd == "rho-hat":

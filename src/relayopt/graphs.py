@@ -10,6 +10,7 @@ degree-0 polynomial).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -21,12 +22,9 @@ from .errors import (
     UnknownVertexError,
 )
 from .polys import Poly, format_rational, parse_rational
+from .roots import isolate_roots_01
 
 Edge = tuple[str, str]
-
-# Sample grid for the necessary-condition range check on probability
-# assignments: exact evaluation at k/8 must land in (0,1).
-PROBABILITY_GRID = tuple(Fraction(k, 8) for k in range(1, 8))
 
 
 def edge_key(u: str, v: str) -> Edge:
@@ -271,13 +269,48 @@ class EdgeProbabilityMap:
         return hash((self.graph, self.items()))
 
 
+def require_open_unit(p0: Fraction) -> Fraction:
+    """``p0`` itself if it lies in the open interval (0,1), where every
+    edge probability and reliability is defined; ProbabilityError if not."""
+    if not 0 < p0 < 1:
+        raise ProbabilityError(f"p={p0} is outside the open interval (0,1)")
+    return p0
+
+
+def _bernstein_coefficients(poly: Poly) -> list[Fraction]:
+    """Coefficients of ``poly`` in the degree-n Bernstein basis on [0,1],
+    n its degree: b_k = sum_{j<=k} C(k,j) / C(n,j) * a_j."""
+    n = poly.degree
+    scaled = [c / math.comb(n, j) for j, c in enumerate(poly.coeffs)]
+    return [sum(math.comb(k, j) * scaled[j] for j in range(k + 1)) for k in range(n + 1)]
+
+
 def _check_range(e: Edge, poly: Poly) -> None:
-    for q in PROBABILITY_GRID:
-        val = poly(q)
-        if not (0 < val < 1):
+    """Require 0 < poly(p) < 1 for every p in the open interval (0,1).
+
+    A nonconstant polynomial whose Bernstein coefficients all lie in [0,1]
+    is a convex combination of basis terms positive on (0,1), so it stays
+    strictly inside (0,1) there; this settles every reliability polynomial
+    at once.  Otherwise neither poly nor 1 - poly may have a root in (0,1),
+    and then one interior value decides."""
+    if poly.degree <= 0:
+        value = poly.coefficient(0)
+        if not 0 < value < 1:
+            raise ProbabilityError(f"edge {e[0]}-{e[1]}: value {value} is outside (0,1)")
+        return
+    if poly == Poly.x() or all(0 <= b <= 1 for b in _bernstein_coefficients(poly)):
+        return
+    for bound, f in ((0, poly), (1, poly - 1)):
+        roots = isolate_roots_01(f)
+        if roots:
             raise ProbabilityError(
-                f"edge {e[0]}-{e[1]}: value {val} at p={q} is outside (0,1)"
+                f"edge {e[0]}-{e[1]}: probability reaches {bound} at some p in "
+                f"({roots[0].lo}, {roots[0].hi})"
             )
+    half = Fraction(1, 2)
+    value = poly(half)
+    if not 0 < value < 1:
+        raise ProbabilityError(f"edge {e[0]}-{e[1]}: value {value} at p={half} is outside (0,1)")
 
 
 # ---------------------------------------------------------------------------

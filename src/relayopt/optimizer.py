@@ -32,15 +32,19 @@ from .graphs import (
     Protocol,
     TwoTerminalGraph,
     edge_key,
+    require_open_unit,
 )
 from .polys import Poly, poly_gcd
 from .reliability import (
     MAX_SCAN_EDGES,
+    admits_table,
     edge_bits,
     monotone_table,
+    polynomial_from_counts,
     polynomial_from_table,
     rho,
     rho_A,
+    subset_counts,
 )
 from .roots import (
     AlgebraicNumber,
@@ -56,7 +60,6 @@ RemovalSet = frozenset[Instruction]
 
 MAX_REMOVAL_TESTS = 1 << 20
 BRUTE_FORCE_CFP_LIMIT = 22
-OUTPUT_INTERVAL_WIDTH = Fraction(1, 1 << 20)
 
 
 def _removal_sort_key(removal: RemovalSet) -> tuple:
@@ -307,20 +310,32 @@ def candidate_polynomials(
     max_edges: int = MAX_SCAN_EDGES,
     max_tests: int = MAX_REMOVAL_TESTS,
 ) -> list[tuple[RemovalSet, Poly]]:
-    """Reliability polynomial of every maximal-finite-candidate protocol,
-    with identical polynomials collapsed to the lexicographically least
-    removal witness.  Results are cached per (graph, probabilities)."""
-    key = (graph, None if probmap is None else probmap, max_edges)
+    """Reliability polynomial of every undominated maximal-finite-candidate
+    protocol, with identical polynomials collapsed to the lexicographically
+    least removal witness.
+
+    Candidates are compared by their coordinates in the subset-count basis
+    (see ``subset_counts``).  Every edge probability maps (0,1) into (0,1),
+    so every basis term is positive on (0,1): a candidate whose counts are
+    coordinatewise at most another's is strictly below it everywhere in
+    (0,1), can neither win the pointwise maximum nor lie on the upper
+    envelope, and is dropped before any polynomial is assembled.  Results
+    are cached per (graph, probabilities, guards)."""
+    key = (graph, probmap, max_edges, max_tests)
     cached = _CANDIDATE_CACHE.get(key)
     if cached is not None:
         return list(cached)
     astar = cfp(graph)
-    best: dict[Poly, RemovalSet] = {}
+    # Removal sets arrive sorted, so the first one kept is the least.
+    by_counts: dict[tuple[int, ...], tuple[RemovalSet, list[list[int]]]] = {}
     for removal in minimal_removal_sets(graph, max_tests):
-        poly = rho_A(astar.minus(removal), probmap, threads, max_edges)
-        cur = best.get(poly)
-        if cur is None or _removal_sort_key(removal) < _removal_sort_key(cur):
-            best[poly] = removal
+        counts = subset_counts(graph, probmap, admits_table(astar.minus(removal), max_edges), threads)
+        by_counts.setdefault(tuple(itertools.chain.from_iterable(counts)), (removal, counts))
+    best: dict[Poly, RemovalSet] = {}
+    for vector, (removal, counts) in by_counts.items():
+        if any(other != vector and all(a <= b for a, b in zip(vector, other)) for other in by_counts):
+            continue
+        best.setdefault(polynomial_from_counts(graph, probmap, counts), removal)
     result = sorted(((rem, poly) for poly, rem in best.items()), key=lambda t: _removal_sort_key(t[0]))
     if len(_CANDIDATE_CACHE) > 64:
         _CANDIDATE_CACHE.clear()
@@ -337,11 +352,14 @@ def rho_hat_at(
 ):
     """Optimal reliability over finite protocols.
 
-    With ``at`` given, returns the exact pointwise maximum at that rational
-    together with the witnessing removal set.  Without ``at``, the result
-    must be a single polynomial on all of (0,1); if the optimum switches
-    pieces, a domain error directs the caller to rho_hat_piecewise.
+    With ``at`` given, which must lie in the open interval (0,1), returns
+    the exact pointwise maximum at that rational together with the
+    witnessing removal set.  Without ``at``, the result must be a single
+    polynomial on all of (0,1); if the optimum switches pieces, a domain
+    error directs the caller to rho_hat_piecewise.
     """
+    if at is not None:
+        require_open_unit(at)
     cands = candidate_polynomials(graph, probmap, threads, max_edges)
     if at is not None:
         best_val: Fraction | None = None

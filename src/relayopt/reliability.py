@@ -227,24 +227,33 @@ def _count_block(table: bytearray, lo: int, hi: int, spos: Sequence[int],
     return counts
 
 
-def polynomial_from_table(
+def _edge_polynomials(
+    graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None
+) -> tuple[list[Poly], list[int]]:
+    """Per-edge survival polynomials in canonical order, and the positions
+    of the overridden edges (those whose polynomial is not plain p)."""
+    x = Poly.x()
+    if probmap is None:
+        return [x] * graph.m, []
+    wpolys = [probmap.poly_for_edge(e) for e in graph.edge_list()]
+    return wpolys, [i for i, w in enumerate(wpolys) if w != x]
+
+
+def subset_counts(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None,
     table: bytearray,
     threads: int | None = None,
-) -> Poly:
-    """Sum, over admitted subsets S, of prod_{e in S} w_e * prod_{e not in S}
-    (1 - w_e), grouped so that plain p-edges contribute through the binomial
-    basis and only the overridden edges are expanded pattern by pattern."""
-    if probmap is None:
-        probmap = EdgeProbabilityMap.constant_p(graph)
-    edges = graph.edge_list()
-    m = len(edges)
-    x = Poly.x()
-    wpolys = [probmap.poly_for_edge(e) for e in edges]
-    spos = [i for i, w in enumerate(wpolys) if w != x]
+) -> list[list[int]]:
+    """counts[pattern][i]: admitted subsets whose overridden edges are
+    exactly those of ``pattern`` (bit k for the k-th overridden edge in
+    canonical order) and which hold i plain p-edges.  These are the
+    coefficients of the admitted-subset sum in the basis
+    prod_{k in pattern} w_k * prod_{k not in pattern} (1 - w_k) * p^i (1-p)^(n-i)."""
+    _, spos = _edge_polynomials(graph, probmap)
     if len(spos) > MAX_SPECIAL_EDGES:
         raise GuardExceededError(f"{len(spos)} overridden edges exceeds {MAX_SPECIAL_EDGES}")
+    m = graph.m
     plain_mask = 0
     for i in range(m):
         if i not in spos:
@@ -268,11 +277,22 @@ def polynomial_from_table(
             for pat in range(len(counts)):
                 for i in range(n_plain + 1):
                     counts[pat][i] += block[pat][i]
+    return counts
 
-    basis = _binomial_basis(n_plain)
+
+def polynomial_from_counts(
+    graph: TwoTerminalGraph,
+    probmap: EdgeProbabilityMap | None,
+    counts: list[list[int]],
+) -> Poly:
+    """Assemble the polynomial whose coordinates in the subset-count basis
+    are ``counts`` (as returned by ``subset_counts``): plain p-edges
+    contribute through the binomial basis and only the overridden edges
+    are expanded pattern by pattern."""
+    wpolys, spos = _edge_polynomials(graph, probmap)
+    basis = _binomial_basis(graph.m - len(spos))
     total = Poly.zero()
-    for pat in range(1 << len(spos)):
-        row = counts[pat]
+    for pat, row in enumerate(counts):
         inner = Poly.zero()
         for i, c in enumerate(row):
             if c:
@@ -285,6 +305,17 @@ def polynomial_from_table(
             factor = factor * (w if pat >> k & 1 else Poly.one() - w)
         total = total + factor * inner
     return total
+
+
+def polynomial_from_table(
+    graph: TwoTerminalGraph,
+    probmap: EdgeProbabilityMap | None,
+    table: bytearray,
+    threads: int | None = None,
+) -> Poly:
+    """Sum, over admitted subsets S, of prod_{e in S} w_e * prod_{e not in S}
+    (1 - w_e): the subset counts of the table, assembled."""
+    return polynomial_from_counts(graph, probmap, subset_counts(graph, probmap, table, threads))
 
 
 def rho_A(

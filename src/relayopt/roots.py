@@ -8,6 +8,7 @@ crossing profiles and the breakpoint-free-interval check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,6 +122,32 @@ class AlgebraicNumber:
         while self.exact is None and self.width > width:
             self.refine_once()
 
+    def dyadic_cell(self, width: Fraction) -> tuple[Fraction, Fraction]:
+        """An isolating interval that depends only on the number itself:
+        (x, x) for a number found to be an exact rational x; otherwise the
+        cell [k*width, (k+1)*width] containing it, halved towards the
+        number until ``poly`` has exactly one root in the open cell."""
+        self.refine_below(width)
+        lo = math.floor(self.lo / width) * width
+        hi = lo + width
+        # the number lies in (self.lo, self.hi), so in (lo, lo + 2 * width)
+        while self.exact is None:
+            side = self.compare_rational(hi)
+            if side == 0:
+                return hi, hi
+            if side < 0:
+                break
+            lo, hi = hi, hi + width
+        while self.exact is None and _roots_between(self.poly, lo, hi) != 1:
+            mid = (lo + hi) / 2
+            side = self.compare_rational(mid)
+            if side == 0:
+                return mid, mid
+            lo, hi = (lo, mid) if side < 0 else (mid, hi)
+        if self.exact is not None:
+            return self.exact, self.exact
+        return lo, hi
+
     def equals_rational(self, value: Fraction) -> bool:
         if self.exact is not None:
             return self.exact == value
@@ -184,6 +211,15 @@ class AlgebraicNumber:
         if self.exact is not None:
             return f"AlgebraicNumber({self.exact})"
         return f"AlgebraicNumber({self.poly!r} on ({self.lo}, {self.hi}))"
+
+
+def _roots_between(f: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots of square-free ``f`` in the open interval (lo, hi);
+    unlike ``count_roots``, the endpoints may be roots."""
+    for end in (lo, hi):
+        if f(end) == 0:
+            f = f.exact_div(Poly((-end, 1)))
+    return count_roots(sturm_chain(f), lo, hi)
 
 
 def _isolate_squarefree(f: Poly, lo: Fraction, hi: Fraction) -> list[AlgebraicNumber]:

@@ -1,5 +1,8 @@
 import io
 import json
+from fractions import Fraction
+
+import pytest
 
 from relayopt.cli import main
 from relayopt.graphs import b0, graph_json
@@ -206,3 +209,27 @@ def test_guard_error_exit_code():
     status, _, err = run_cli(["--max-edges", "4", "reliability"], b0_text())
     assert status == 3
     assert json.loads(err)["error"]["code"] == "guard-exceeded"
+
+
+@pytest.mark.parametrize("command", [["rho-hat"], ["reliability"]])
+@pytest.mark.parametrize("at", ["0", "1", "3/2", "-1/2"])
+def test_at_outside_open_interval_is_rejected(command, at):
+    status, out, err = run_cli(command + [f"--at={at}"], b0_text())
+    assert status == 2 and not out
+    assert json.loads(err)["error"]["code"] == "bad-probability"
+
+
+def test_override_outside_unit_interval_is_rejected():
+    # 1/2 + 10^6 (p - 1/8)(p - 2/8)...(p - 7/8): inside (0,1) at every k/8 only
+    from relayopt.polys import Poly
+
+    w = Poly.constant(Fraction(1, 2))
+    bump = Poly.one()
+    for k in range(1, 8):
+        bump = bump * (Poly.x() - Fraction(k, 8))
+    graph = json.loads(b0_text())
+    graph["prob"] = {"default": "p", "overrides": {"1-s": (w + 10 ** 6 * bump).to_strings()}}
+    status, out, err = run_cli(["rho-hat", "--at", "1/16"], json.dumps(graph))
+    assert status == 2 and not out
+    assert json.loads(err)["error"]["code"] == "bad-probability"
+

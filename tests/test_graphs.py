@@ -94,6 +94,38 @@ def test_probability_range_check(b0_graph):
     EdgeProbabilityMap.with_overrides(b0_graph, {("s", "1"): X * X, ("s", "2"): 2 * X - X * X})
 
 
+def test_probability_range_check_is_exact(b0_graph):
+    # in (0,1) at every k/8, yet about -503 at p = 1/16
+    spike = Poly.constant(Fraction(1, 2))
+    bump = Poly.one()
+    for k in range(1, 8):
+        bump = bump * (X - Fraction(k, 8))
+    with pytest.raises(ProbabilityError):
+        EdgeProbabilityMap.with_overrides(b0_graph, {("s", "1"): spike + 10 ** 6 * bump})
+    # 4p(1-p) touches 1 at p = 1/2
+    with pytest.raises(ProbabilityError):
+        EdgeProbabilityMap.with_overrides(b0_graph, {("s", "1"): 4 * X * (1 - X)})
+    # Bernstein coefficients 1/8, 25/24, -1/24, 7/8 leave [0,1], but the
+    # values stay inside (0,1): accepted by the root-isolation fallback
+    wiggle = Fraction(1, 2) + 4 * (X - Fraction(1, 4)) * (X - Fraction(1, 2)) * (X - Fraction(3, 4))
+    EdgeProbabilityMap.with_overrides(b0_graph, {("s", "1"): wiggle})
+
+
+def test_probability_range_accepts_inserted_reliabilities(b0_graph):
+    import random
+
+    from relayopt import build_crossing_pair, realize, rho
+
+    from conftest import random_sptree
+
+    rng = random.Random(2024)
+    trees = [random_sptree(rng, rng.randint(1, 9)) for _ in range(40)]
+    for request in ((1,), (1, 1), (2,)):
+        trees.extend(build_crossing_pair(request))
+    for tree in trees:
+        EdgeProbabilityMap.with_overrides(b0_graph, {("3", "4"): rho(realize(tree))})
+
+
 def test_instruction_validation(b0_graph):
     Protocol(b0_graph, [("s", "1", "3")])
     with pytest.raises(InstructionError, match="endpoints equal"):

@@ -5,10 +5,12 @@ import pytest
 
 from relayopt import (
     EdgeProbabilityMap,
+    GuardExceededError,
     InstructionError,
     RelayoptError,
     breakpoint_free_check,
     brute_force_rho_hat,
+    candidate_polynomials,
     cfp,
     circuit_instructions,
     discrepancy,
@@ -17,15 +19,18 @@ from relayopt import (
     minimal_removal_sets,
     optimal_protocol,
     rho,
+    rho_A,
     rho_hat_at,
     rho_hat_piecewise,
     strongly_essential_instructions,
 )
+from relayopt.cli import _piecewise_json
 from relayopt.constructions import build_breakpoint_graph, parallel, path_graph, realize
+from relayopt.optimizer import _upper_envelope
 from relayopt.polys import Poly
 from relayopt.roots import AlgebraicNumber
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_sptree
 
 X = Poly.x()
 ONEMX = Poly((1, -1))
@@ -194,8 +199,6 @@ def test_piecewise_lookup_helpers():
 def test_envelope_dominates_candidates():
     g = build_breakpoint_graph((1,))
     pw = rho_hat_piecewise(g)
-    from relayopt import candidate_polynomials
-
     cands = candidate_polynomials(g)
     for q in GRID:
         top = pw.value_at(q)
@@ -219,3 +222,61 @@ def test_breakpoint_free_check_cases(b0_graph):
             assert breakpoint_free_check(g, a, b)
     with pytest.raises(ValueError):
         breakpoint_free_check(b0_graph, 2, 1)
+
+
+# -- dominance pruning ---------------------------------------------------------------
+
+def _all_distinct_candidates(graph, probmap=None):
+    """Every maximal finite candidate, collapsed by polynomial only: the
+    candidate list before dominance pruning."""
+    astar = cfp(graph)
+    best = {}
+    for removal in minimal_removal_sets(graph):
+        poly = rho_A(astar.minus(removal), probmap)
+        if poly not in best or sorted(removal) < sorted(best[poly]):
+            best[poly] = removal
+    return sorted(((rem, poly) for poly, rem in best.items()), key=lambda t: sorted(t[0]))
+
+
+def _check_pruning_changes_nothing(graph, probmap=None):
+    pruned = rho_hat_piecewise(graph, probmap)
+    full = _upper_envelope(_all_distinct_candidates(graph, probmap))
+    # pieces, witnesses, breakpoint polynomials, orders and printed intervals
+    assert _piecewise_json(pruned) == _piecewise_json(full)
+    for p0 in SAMPLE_POINTS:
+        value, removed = rho_hat_at(graph, probmap, at=p0)
+        assert value == brute_force_rho_hat(graph, p0, probmap)
+        assert rho_A(cfp(graph).minus(removed), probmap)(p0) == value
+
+
+def test_pruning_differential_random_graphs():
+    rng = random.Random(20170518)
+    checked = 0
+    while checked < 30:
+        g = random_connected_graph(rng, 4, 9)
+        if len(cfp(g)) <= 22:  # oracle guard
+            _check_pruning_changes_nothing(g)
+            checked += 1
+
+
+def test_pruning_differential_b0_with_inserted_reliabilities(b0_graph):
+    rng = random.Random(1705)
+    edges = sorted(b0_graph.edges)
+    for _ in range(6):
+        overrides = {
+            e: rho(realize(random_sptree(rng, rng.randint(2, 5))))
+            for e in rng.sample(edges, rng.randint(1, 3))
+        }
+        _check_pruning_changes_nothing(b0_graph, EdgeProbabilityMap.with_overrides(b0_graph, overrides))
+
+
+def test_b0_candidates_pruned_to_one(b0_graph):
+    assert len(_all_distinct_candidates(b0_graph)) == 2
+    assert [sorted("".join(i) for i in rem) for rem, _ in candidate_polynomials(b0_graph)] == [["432"]]
+
+
+def test_candidate_cache_respects_removal_guard(b0_graph):
+    candidate_polynomials(b0_graph)
+    # six finiteness tests are needed on b0; a cached answer must not hide that
+    with pytest.raises(GuardExceededError):
+        candidate_polynomials(b0_graph, max_tests=1)

@@ -87,3 +87,28 @@ def test_rational_between():
     assert 0 < q2 and golden.compare_rational(q2) > 0
     q3 = rational_between(golden, Fraction(1))
     assert q3 < 1 and golden.compare_rational(q3) < 0
+
+
+def test_dyadic_cell_depends_only_on_the_root():
+    width = Fraction(1, 1 << 20)
+    starts = [(Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(3, 4)), (Fraction(3, 5), Fraction(5, 8))]
+    cells = {AlgebraicNumber(GOLDEN, lo, hi).dyadic_cell(width) for lo, hi in starts}
+    assert len(cells) == 1
+    (lo, hi), = cells
+    assert hi - lo == width and (lo / width).denominator == 1
+    assert GOLDEN(lo) * GOLDEN(hi) < 0
+    # two roots in one cell: halved until the cell isolates the root
+    third = Fraction(1, 3)
+    f = (X - third) * (X - third - Fraction(1, 1 << 22))
+    for lo0, hi0 in ((Fraction(0), third + Fraction(1, 1 << 23)), (Fraction(1, 4), third + Fraction(1, 1 << 24))):
+        lo, hi = AlgebraicNumber(f, lo0, hi0).dyadic_cell(width)
+        assert hi - lo == width / 2 and lo < third < hi
+    # a root of the defining polynomial on the cell boundary does not count
+    near = Fraction(1, 2) + width / 3
+    g = (X - Fraction(1, 2)) * (X - near)
+    assert AlgebraicNumber(g, Fraction(1, 2) + width / 4, Fraction(3, 4)).dyadic_cell(width) == (
+        Fraction(1, 2), Fraction(1, 2) + width)
+    # a dyadic root comes out exact
+    h = (X - Fraction(5, 8)) * (X * X + 1)
+    assert AlgebraicNumber(h, Fraction(1, 2), Fraction(3, 4) + Fraction(1, 3)).dyadic_cell(width) == (
+        Fraction(5, 8), Fraction(5, 8))
