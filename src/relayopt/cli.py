@@ -197,8 +197,20 @@ def _run(args, stdin, stdout) -> None:
         stdout.write("\n")
 
     cmd = args.command
+    # Commands that build their graph from arguments read no stdin.
     if cmd == "fixture":
         emit(graph_json(b0()))
+        return
+    if cmd == "crossing-pair":
+        h1, h2 = constructions.build_crossing_pair(_parse_orders(args.profile))
+        emit({
+            "h1": graph_json(constructions.realize(h1)),
+            "h2": graph_json(constructions.realize(h2)),
+            "trees": {"h1": constructions.sptree_json(h1), "h2": constructions.sptree_json(h2)},
+        })
+        return
+    if cmd == "breakpoint-graph":
+        emit(graph_json(constructions.build_breakpoint_graph(_parse_orders(args.orders))))
         return
 
     graph, probmap = _load_graph(stdin)
@@ -273,15 +285,6 @@ def _run(args, stdin, stdout) -> None:
         x, y = args.edge.split("-", 1)
         exp = constructions.expand(graph, (x, y), _load_tree(args.with_file))
         emit(graph_json(exp.graph))
-    elif cmd == "crossing-pair":
-        h1, h2 = constructions.build_crossing_pair(_parse_orders(args.profile))
-        emit({
-            "h1": graph_json(constructions.realize(h1)),
-            "h2": graph_json(constructions.realize(h2)),
-            "trees": {"h1": constructions.sptree_json(h1), "h2": constructions.sptree_json(h2)},
-        })
-    elif cmd == "breakpoint-graph":
-        emit(graph_json(constructions.build_breakpoint_graph(_parse_orders(args.orders))))
     elif cmd == "census":
         paths = asymptotics.path_census(graph, guard)
         cuts = asymptotics.cut_census(graph, guard)
@@ -301,11 +304,10 @@ def _run(args, stdin, stdout) -> None:
         protocol = _load_protocol(args.protocol, graph)
         emit({"robustness": asymptotics.robustness(protocol, guard)})
     elif cmd == "simulate":
+        if args.trials < 1:
+            raise _UsageError("--trials must be at least 1")
         protocol = _load_protocol(args.protocol, graph)
-        report = run_trials(
-            protocol, parse_rational(args.p), args.trials, args.seed,
-            count_copies=args.copies, max_edges=guard,
-        )
+        report = run_trials(protocol, parse_rational(args.p), args.trials, args.seed, count_copies=args.copies)
         emit(report.to_json())
     else:  # pragma: no cover - argparse enforces the choices
         raise _UsageError(f"unknown command {cmd!r}")

@@ -1,27 +1,39 @@
 """Monte Carlo cross-validation of the exact reliabilities.
 
 Edge survival is sampled from a counter-based generator: one keyed BLAKE2b
-digest per (seed, trial index), four bytes per edge.  Trials are therefore
-independent of evaluation order, so parallel execution and re-runs with
-the same seed reproduce reports byte for byte.
+digest per (seed, trial index, 16-edge block), four bytes per edge.  Trials
+are therefore independent of evaluation order, so re-runs with the same
+seed reproduce reports byte for byte.
+
+Trials are sampled as columns, ``BLOCK`` trials at a time: each edge's
+survival over a block is one int with one bit per trial.  Delivery is
+decided for the whole block by one reachability sweep over the protocol's
+state graph, ``reach[j] |= reach[i] & column[edge of j]``, run to a
+fixpoint, so infinite protocols need no special case and no cost grows
+with 2^m.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from .engine import StateGraph, a_walks, is_finite
 from .errors import GuardExceededError, InfiniteProtocolError
-from .graphs import EdgeProbabilityMap, Protocol, edge_key
+from .graphs import EdgeProbabilityMap, Protocol, edge_key, require_open_unit
 from .polys import Poly
-from .reliability import MAX_SCAN_EDGES, admits_table, edge_bits
 
 COPY_CAP = 10 ** 6
+BLOCK = 512  # trials sampled and swept together
 _CHUNK = 4  # bytes of hash output per edge
 _SCALE = 1 << (8 * _CHUNK)
+_PER_DIGEST = 64 // _CHUNK  # edges per digest
+_MEMO_MASKS = 1 << 16  # walk counts kept for copy counting
+_binary = partial(int, base=2)
 
 
 @dataclass(frozen=True)
@@ -44,57 +56,112 @@ class TrialReport:
         return obj
 
 
-def _sample_masks(m: int, p0: Fraction, trials: int, seed: int):
-    """Yield one surviving-edge bitmask per trial."""
-    threshold = (p0.numerator * _SCALE) // p0.denominator
-    key = seed.to_bytes(8, "big", signed=True)
-    per_digest = 64 // _CHUNK
-    blocks = (m + per_digest - 1) // per_digest
-    for t in range(trials):
-        digest = b""
-        for blk in range(blocks):
-            h = hashlib.blake2b(t.to_bytes(8, "big") + blk.to_bytes(2, "big"), key=key, digest_size=64)
-            digest += h.digest()
-        mask = 0
-        for j in range(m):
-            word = int.from_bytes(digest[_CHUNK * j:_CHUNK * (j + 1)], "big")
-            if word < threshold:
-                mask |= 1 << j
-        yield mask
+def _survival_digits(base, m: int, threshold: int, first: int, stop: int) -> list[bytes]:
+    """For each edge, one ASCII digit per trial in ``range(first, stop)``:
+    ``1`` where the edge survives.  Edge j survives trial t iff the
+    big-endian word at offset 4*(j mod 16) of the digest of
+    (t, j // 16) is below ``threshold``.
+
+    The words are compared by their top byte first, with one ``translate``
+    per edge; only the trials whose top byte ties the threshold's (1 in
+    256) compare the remaining three bytes one by one."""
+    top, low = divmod(threshold, 1 << 24)
+    by_top = b"1" * top + b"?" + b"0" * (255 - top)
+    digits = []
+    for blk in range((m + _PER_DIGEST - 1) // _PER_DIGEST):
+        tail = blk.to_bytes(2, "big")
+        digests = []
+        for t in range(first, stop):
+            h = base.copy()
+            h.update(t.to_bytes(8, "big") + tail)
+            digests.append(h.digest())
+        stream = b"".join(digests)
+        for at in range(0, _CHUNK * min(_PER_DIGEST, m - blk * _PER_DIGEST), _CHUNK):
+            row = stream[at::64].translate(by_top)
+            tie = row.find(b"?")
+            if tie >= 0:
+                row = bytearray(row)
+                while tie >= 0:
+                    k = 64 * tie + at + 1
+                    row[tie] = 49 if int.from_bytes(stream[k:k + 3], "big") < low else 48
+                    tie = row.find(b"?", tie + 1)
+            digits.append(row)
+    return digits
 
 
-def _copies_table(protocol: Protocol, max_copies: int) -> list[int]:
-    """Number of surviving walks (state paths from an initial to an
-    accepting state) for every edge subset; finite protocols only."""
-    sg = StateGraph(protocol)
-    bits = edge_bits(protocol.graph)
-    ebit = [bits[edge_key(u, v)] for u, v in sg.states]
-    m = protocol.graph.m
-    acc = sg.accepting
-    table = [0] * (1 << m)
-    for S in range(1 << m):
-        memo: dict[int, int] = {}
+class _StateSweep:
+    """The protocol's useful states (reachable from an initial state and
+    co-reaching an accepting one), each with the index of its edge."""
 
-        def count(i: int) -> int:
-            got = memo.get(i)
-            if got is not None:
-                return got
-            memo[i] = 0  # cycles through non-useful states contribute nothing
-            total = 1 if i in acc else 0
-            for j in sg.out[i]:
-                if ebit[j] & S:
-                    total += count(j)
-            memo[i] = total
-            return total
+    def __init__(self, protocol: Protocol):
+        sg = StateGraph(protocol)
+        useful = sg.reachable() & sg.coreachable()
+        index = {e: k for k, e in enumerate(protocol.graph.edge_list())}
+        self.edge = [index[edge_key(u, v)] for u, v in sg.states]
+        self.succ = [tuple(j for j in sg.out[i] if j in useful) if i in useful else ()
+                     for i in range(len(sg.states))]
+        self.initial = [i for i in sg.initial if i in useful]
+        self.accepting = [i for i in sorted(sg.accepting) if i in useful]
 
-        total = 0
-        for i in sg.initial:
-            if ebit[i] & S:
-                total += count(i)
-        if total > max_copies:
-            raise GuardExceededError(f"more than {max_copies} surviving walks in one trial")
-        table[S] = total
-    return table
+    def delivered(self, columns: list[int]) -> int:
+        """Bitset of the trials in which some protocol walk survives, given
+        each edge's survival column."""
+        col = [columns[e] for e in self.edge]
+        succ = self.succ
+        reach = [0] * len(col)
+        stack = []
+        for i in self.initial:
+            if col[i]:
+                reach[i] = col[i]
+                stack.append(i)
+        while stack:
+            i = stack.pop()
+            ri = reach[i]
+            for j in succ[i]:
+                new = ri & col[j] & ~reach[j]
+                if new:
+                    reach[j] |= new
+                    stack.append(j)
+        got = 0
+        for i in self.accepting:
+            got |= reach[i]
+        return got
+
+    def walk_counter(self):
+        """A function from an edge mask to its number of surviving walks,
+        memoised on the most recent ``_MEMO_MASKS`` masks.  The useful
+        states of a finite protocol form a DAG; counts are filled in
+        reverse topological order."""
+        succ = self.succ
+        indegree = [0] * len(succ)
+        for js in succ:
+            for j in js:
+                indegree[j] += 1
+        ready = [i for i in self.initial if not indegree[i]]
+        order = []
+        while ready:
+            i = ready.pop()
+            order.append(i)
+            for j in succ[i]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    ready.append(j)
+        accepting = set(self.accepting)
+        plan = [(i, 1 << self.edge[i], int(i in accepting), succ[i]) for i in reversed(order)]
+        initial = self.initial
+
+        @lru_cache(maxsize=_MEMO_MASKS)
+        def count(mask: int) -> int:
+            walks = [0] * len(succ)
+            for i, bit, delivers, nxt in plan:
+                if mask & bit:
+                    total = delivers
+                    for j in nxt:
+                        total += walks[j]
+                    walks[i] = total
+            return sum([walks[i] for i in initial])
+
+        return count
 
 
 def simulate(
@@ -104,28 +171,37 @@ def simulate(
     seed: int,
     count_copies: bool = False,
     max_copies: int = COPY_CAP,
-    max_edges: int = MAX_SCAN_EDGES,
 ) -> TrialReport:
     """Estimate delivery probability by sampling edge failures; optionally
     histogram the number of message copies the receiver gets per trial."""
-    if not 0 < p0 < 1:
-        raise ValueError("edge survival probability must lie in (0,1)")
+    require_open_unit(p0)
+    if trials < 1:
+        raise ValueError("the number of trials must be at least 1")
     if count_copies and not is_finite(protocol):
         raise InfiniteProtocolError("copy counting needs a finite protocol")
-    graph = protocol.graph
-    table = admits_table(protocol, max_edges)
-    copies_table = _copies_table(protocol, max_copies) if count_copies else None
+    m = protocol.graph.m
+    sweep = _StateSweep(protocol)
+    count = sweep.walk_counter() if count_copies else None
+    threshold = (p0.numerator * _SCALE) // p0.denominator
+    base = hashlib.blake2b(key=seed.to_bytes(8, "big", signed=True), digest_size=64)
     deliveries = 0
-    histogram: dict[int, int] = {}
-    for mask in _sample_masks(graph.m, p0, trials, seed):
-        if table[mask]:
-            deliveries += 1
-        if copies_table is not None:
-            c = copies_table[mask]
-            histogram[c] = histogram.get(c, 0) + 1
-    estimate = Fraction(deliveries, trials) if trials else Fraction(0)
-    stderr = math.sqrt(float(estimate * (1 - estimate)) / trials) if trials else 0.0
-    return TrialReport(trials, deliveries, estimate, stderr, histogram if count_copies else None)
+    histogram: Counter[int] = Counter()
+    for first in range(0, trials, BLOCK):
+        stop = min(first + BLOCK, trials)
+        digits = _survival_digits(base, m, threshold, first, stop)
+        deliveries += sweep.delivered([_binary(d[::-1]) for d in digits]).bit_count()
+        if count is not None:
+            # Most significant digit first: edge m-1 down to edge 0, behind
+            # a leading 0 so that m = 0 still yields one mask per trial.
+            masks = Counter(map(bytes, zip(b"0" * (stop - first), *reversed(digits))))
+            for mask, n in masks.items():
+                c = count(_binary(mask))
+                if c > max_copies:
+                    raise GuardExceededError(f"more than {max_copies} surviving walks in one trial")
+                histogram[c] += n
+    estimate = Fraction(deliveries, trials)
+    stderr = math.sqrt(float(estimate * (1 - estimate)) / trials)
+    return TrialReport(trials, deliveries, estimate, stderr, dict(histogram) if count_copies else None)
 
 
 def expected_copies(protocol: Protocol, probmap: EdgeProbabilityMap | None = None) -> Poly:

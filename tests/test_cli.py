@@ -233,3 +233,51 @@ def test_override_outside_unit_interval_is_rejected():
     assert status == 2 and not out
     assert json.loads(err)["error"]["code"] == "bad-probability"
 
+
+
+@pytest.mark.parametrize("p", ["3/2", "0", "1", "-1/2"])
+def test_simulate_probability_outside_open_interval_is_rejected(p):
+    status, out, err = run_cli(["simulate", f"--p={p}", "--trials", "10", "--seed", "1"], b0_text())
+    assert status == 2 and not out
+    assert json.loads(err)["error"]["code"] == "bad-probability"
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_simulate_trials_below_one_is_a_usage_error(trials):
+    status, out, err = run_cli(["simulate", "--p", "1/2", f"--trials={trials}", "--seed", "1"], b0_text())
+    assert status == 1 and not out
+    assert json.loads(err)["error"]["code"] == "usage"
+
+
+def test_simulate_is_not_bound_by_the_subset_scan_guard():
+    # Six disjoint 5-edge routes: m = 30, beyond the 24-edge scan guard.
+    from relayopt.constructions import parallel, path_graph, realize
+    from relayopt.engine import cfp
+    from relayopt.simulate import expected_copies
+
+    tree = path_graph(6)
+    for _ in range(5):
+        tree = parallel(tree, path_graph(6))
+    graph = realize(tree)
+    assert graph.m == 30
+    p = Fraction(4, 5)
+    status, out, err = run_cli(
+        ["simulate", "--p", str(p), "--trials", "3000", "--seed", "3", "--copies"],
+        json.dumps(graph_json(graph)),
+    )
+    assert status == 0, err
+    obj = json.loads(out)
+    n = obj["trials"]
+    exact = 1 - (1 - p ** 5) ** 6
+    assert abs(Fraction(obj["estimate"]) - exact) <= 5 * obj["stderr"]
+    hist = {int(k): v for k, v in obj["copies"].items()}
+    mean = sum(k * v for k, v in hist.items()) / n
+    var = sum(k * k * v for k, v in hist.items()) / n - mean ** 2
+    assert abs(mean - float(expected_copies(cfp(graph))(p))) <= 5 * (var / n) ** 0.5
+
+
+@pytest.mark.parametrize("argv", [["breakpoint-graph", "--orders", "1"], ["crossing-pair", "--profile", "1"]])
+def test_constructions_read_no_stdin(argv):
+    status, out, err = run_cli(argv, "")
+    assert status == 0 and not err
+    assert json.loads(out)

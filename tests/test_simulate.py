@@ -1,17 +1,28 @@
+import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from relayopt import (
     InfiniteProtocolError,
+    ProbabilityError,
     TwoTerminalGraph,
+    a_walks,
+    bounded_protocol,
     cfp,
     expected_copies,
+    is_finite,
     rho_A,
     simulate,
 )
 from relayopt.constructions import parallel, path_graph, realize
+from relayopt.graphs import b0, edge_key
 from relayopt.polys import Poly
+from relayopt.reliability import subset_admits_walk
+
+from conftest import random_connected_graph
 
 X = Poly.x()
 HALF = Fraction(1, 2)
@@ -91,5 +102,73 @@ def test_infinite_protocol_delivery_estimate_ok(b0_cfp):
 
 def test_bad_probability():
     proto = cfp(single_edge())
-    with pytest.raises(ValueError):
+    with pytest.raises(ProbabilityError):
         simulate(proto, Fraction(1), 10, seed=0)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_trials_below_one_rejected(trials):
+    with pytest.raises(ValueError):
+        simulate(cfp(single_edge()), HALF, trials, seed=0)
+
+
+# The m=17 graph of the benchmark's simulate corpus: two digests per trial.
+M17_GRAPH = TwoTerminalGraph(
+    ["s", "v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "r"],
+    [("r", "v3"), ("r", "v4"), ("r", "v5"), ("r", "v6"), ("s", "v2"), ("s", "v3"),
+     ("s", "v6"), ("s", "v8"), ("v1", "v2"), ("v1", "v6"), ("v2", "v6"), ("v3", "v6"),
+     ("v3", "v7"), ("v3", "v8"), ("v4", "v6"), ("v4", "v7"), ("v7", "v8")],
+    "s", "r",
+)
+
+
+def test_golden_reports():
+    # Reports of the per-trial sampler these reproduce, one digest per
+    # (trial, 16-edge block); they pin the sampling stream.
+    report = simulate(cfp(b0()), Fraction(1, 3), 4099, seed=-7)
+    assert report.deliveries == 453
+    report = simulate(bounded_protocol(b0(), 4), Fraction(5, 8), 3001, seed=11, count_copies=True)
+    assert report.copies == {0: 1329, 1: 749, 2: 496, 3: 286, 4: 69, 5: 39, 6: 33}
+    assert report.deliveries == 1672
+    assert M17_GRAPH.m == 17
+    assert simulate(cfp(M17_GRAPH), Fraction(2, 5), 2500, seed=2026).deliveries == 1200
+
+
+def reference_masks(m, p0, trials, seed):
+    """Surviving-edge bitmask of each trial, one trial at a time."""
+    threshold = (p0.numerator << 32) // p0.denominator
+    key = seed.to_bytes(8, "big", signed=True)
+    for t in range(trials):
+        digest = b"".join(
+            hashlib.blake2b(t.to_bytes(8, "big") + blk.to_bytes(2, "big"), key=key, digest_size=64).digest()
+            for blk in range((m + 15) // 16)
+        )
+        yield sum(1 << j for j in range(m) if int.from_bytes(digest[4 * j:4 * j + 4], "big") < threshold)
+
+
+def check_against_oracle(proto, p0, trials, seed):
+    graph = proto.graph
+    edges = graph.edge_list()
+    masks = list(reference_masks(graph.m, p0, trials, seed))
+    admitted = [subset_admits_walk(proto, [e for j, e in enumerate(edges) if mask >> j & 1]) for mask in masks]
+    finite = is_finite(proto)
+    report = simulate(proto, p0, trials, seed, count_copies=finite)
+    assert report.deliveries == sum(admitted)
+    if finite:
+        bits = {e: 1 << j for j, e in enumerate(edges)}
+        walk_masks = [sum({bits[edge_key(w[i], w[i + 1])] for i in range(len(w) - 1)}) for w in a_walks(proto)]
+        expected = Counter(sum(1 for w in walk_masks if w & mask == w) for mask in masks)
+        assert report.copies == dict(expected)
+    return finite
+
+
+def test_differential_against_per_trial_oracle():
+    rng = random.Random(4)
+    finite = []
+    for _ in range(24):
+        graph = random_connected_graph(rng, 5, 11)
+        p0 = Fraction(rng.randint(1, 9), 10)
+        finite.append(check_against_oracle(cfp(graph), p0, rng.choice([1, 300, 513, 1100]), rng.randint(-50, 50)))
+    assert 0 < finite.count(False) < len(finite)
+    assert not check_against_oracle(cfp(M17_GRAPH), Fraction(3, 7), 1100, seed=5)
+    assert check_against_oracle(bounded_protocol(M17_GRAPH, 3), Fraction(4, 5), 700, seed=-3)
