@@ -53,6 +53,7 @@ from .engine import (
     strongly_essential_instructions,
 )
 from .errors import (
+    DomainError,
     FormatError,
     GraphError,
     GuardExceededError,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .engine import bounded_protocol, enumerate_sr_paths, is_finite
-from .errors import GuardExceededError, InfiniteProtocolError
+from .errors import DomainError, GuardExceededError, InfiniteProtocolError
 from .graphs import Protocol, TwoTerminalGraph
 from .reliability import (
     MAX_SCAN_EDGES,
@@ -79,7 +79,7 @@ def near_zero_expansion(graph: TwoTerminalGraph, max_edges: int = MAX_SCAN_EDGES
     census = path_census(graph, max_edges)
     k = census.distance
     if k is None:
-        raise ValueError("s and r are disconnected")
+        raise DomainError("s and r are disconnected", code="disconnected")
     protocol = bounded_protocol(graph, k + 1)
     if not is_finite(protocol):
         raise AssertionError("short-path protocol is not finite")
@@ -91,7 +91,7 @@ def near_one_expansion(graph: TwoTerminalGraph, max_edges: int = MAX_SCAN_EDGES)
     cuts, so the optimum is 1 - c_e q^e + O(q^(e+1)) in q = 1 - p."""
     census = cut_census(graph, max_edges)
     if census.min_cut is None:
-        raise ValueError("s and r cannot be disconnected by edge removals")
+        raise DomainError("s and r cannot be disconnected by edge removals")
     return census.min_cut, census.count(census.min_cut)
 
 

@@ -83,7 +83,7 @@ def _single_or_piecewise(pw: PiecewiseReliability) -> dict:
 def _read_json(stream, what: str):
     try:
         return json.load(stream)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"bad {what} JSON: {exc}") from exc
 
 
@@ -91,21 +91,26 @@ def _load_graph(stdin) -> tuple[TwoTerminalGraph, EdgeProbabilityMap]:
     return parse_graph(_read_json(stdin, "graph"))
 
 
+def _read_json_file(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _read_json(fh, what)
+    except OSError as exc:
+        raise _UsageError(f"cannot read {what} file: {exc}") from exc
+
+
 def _load_graph_file(path: str) -> tuple[TwoTerminalGraph, EdgeProbabilityMap]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(_read_json(fh, "graph"))
+    return parse_graph(_read_json_file(path, "graph"))
 
 
 def _load_protocol(path: str | None, graph: TwoTerminalGraph) -> Protocol:
     if path is None:
         return engine.cfp(graph)
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_protocol(_read_json(fh, "protocol"), graph)
+    return parse_protocol(_read_json_file(path, "protocol"), graph)
 
 
 def _load_tree(path: str) -> constructions.SPTree:
-    with open(path, "r", encoding="utf-8") as fh:
-        return constructions.parse_sptree(_read_json(fh, "tree"))
+    return constructions.parse_sptree(_read_json_file(path, "tree"))
 
 
 def _parse_orders(raw: str) -> tuple[int, ...]:
@@ -120,10 +125,8 @@ def _parse_orders(raw: str) -> tuple[int, ...]:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="relayopt", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None, help="parallel subset scanning")
     parser.add_argument("--max-edges", type=int, default=reliability.MAX_SCAN_EDGES,
                         help="guard on exhaustive subset scans")
-    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("validate")
@@ -189,7 +192,6 @@ def build_parser() -> _Parser:
 
 
 def _run(args, stdin, stdout) -> None:
-    threads = args.threads
     guard = args.max_edges
 
     def emit(obj) -> None:
@@ -236,33 +238,30 @@ def _run(args, stdin, stdout) -> None:
         protocol = _load_protocol(args.protocol, graph)
         fn = reliability.rho_prime_A if args.prime else reliability.rho_A
         at = None if args.at is None else require_open_unit(parse_rational(args.at))
-        poly = fn(protocol, probmap, threads, guard)
+        poly = fn(protocol, probmap, guard)
         if at is not None:
             emit({"value": str(poly(at))})
         else:
             emit({"poly": _poly_json(poly)})
     elif cmd == "rho-hat":
         if args.piecewise:
-            emit(_piecewise_json(optimizer.rho_hat_piecewise(graph, probmap, threads, guard)))
+            emit(_piecewise_json(optimizer.rho_hat_piecewise(graph, probmap, guard)))
         elif args.at is not None:
-            value, removed = optimizer.rho_hat_at(graph, probmap, parse_rational(args.at), threads, guard)
+            value, removed = optimizer.rho_hat_at(graph, probmap, parse_rational(args.at), guard)
             emit({"value": str(value), "removed": [list(i) for i in sorted(removed)]})
         else:
-            poly, removed = optimizer.rho_hat_at(graph, probmap, None, threads, guard)
+            poly, removed = optimizer.rho_hat_at(graph, probmap, None, guard)
             emit({"poly": _poly_json(poly), "removed": [list(i) for i in sorted(removed)]})
     elif cmd == "discrepancy":
-        with open(args.remove, "r", encoding="utf-8") as fh:
-            removal = parse_protocol(_read_json(fh, "protocol"), graph)
-        report = optimizer.discrepancy(
-            graph, removal.instructions, probmap, args.check_event, threads, guard
-        )
+        removal = parse_protocol(_read_json_file(args.remove, "protocol"), graph)
+        report = optimizer.discrepancy(graph, removal.instructions, probmap, args.check_event, guard)
         emit({
             "poly": _poly_json(report.polynomial),
             "finite": report.finite,
             "removed": [list(i) for i in sorted(report.removed)],
         })
     elif cmd == "min-discrepancy":
-        emit(_single_or_piecewise(optimizer.min_discrepancy(graph, probmap, threads, guard)))
+        emit(_single_or_piecewise(optimizer.min_discrepancy(graph, probmap, guard)))
     elif cmd == "compose":
         if args.op == "kelmans":
             for flag in ("f2", "g1", "g2"):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .engine import a_paths, cfp
-from .errors import GraphError, GuardExceededError, ZeroPolynomialError
+from .errors import DomainError, GraphError, GuardExceededError, ZeroPolynomialError
 from .graphs import (
     Edge,
     EdgeProbabilityMap,
@@ -88,7 +88,7 @@ def parallel(a, b):
 def path_graph(k: int) -> SPTree:
     """Chain of k-1 edges on k vertices."""
     if k < 2:
-        raise ValueError("a path graph needs at least 2 vertices")
+        raise DomainError("a path graph needs at least 2 vertices")
     tree = edge()
     for _ in range(k - 2):
         tree = SPTree("series", tree, edge())
@@ -337,9 +337,9 @@ def kelmans_compose(f1, f2, g1, g2):
     )
 
 
-def delta_rho(a, b, threads: int | None = None, max_edges: int = MAX_SCAN_EDGES) -> Poly:
+def delta_rho(a, b, max_edges: int = MAX_SCAN_EDGES) -> Poly:
     """rho(a) - rho(b) at constant p."""
-    return rho(as_graph(a), None, threads, max_edges) - rho(as_graph(b), None, threads, max_edges)
+    return rho(as_graph(a), None, max_edges) - rho(as_graph(b), None, max_edges)
 
 
 Profile = list[tuple[AlgebraicNumber, int]]
@@ -380,9 +380,9 @@ def build_crossing_pair(orders: Sequence[int], max_edges: int = MAX_BUILD_EDGES)
     ``orders``: the i-th root (in increasing order) gets multiplicity
     orders[i].  Built by powering the elementary pairs and composing."""
     if not orders:
-        raise ValueError("need at least one requested multiplicity")
+        raise DomainError("need at least one requested multiplicity")
     if any(m < 1 for m in orders):
-        raise ValueError("multiplicities must be positive")
+        raise DomainError("multiplicities must be positive")
     t = len(orders)
     combined: tuple[SPTree, SPTree] | None = None
     for i, mult in enumerate(orders, start=1):
@@ -407,7 +407,7 @@ def build_breakpoint_graph(orders: Sequence[int], max_edges: int = MAX_BUILD_EDG
     from .graphs import b0
 
     if any(m % 2 == 0 for m in orders):
-        raise ValueError("breakpoint orders must be odd")
+        raise DomainError("breakpoint orders must be odd")
     if orders:
         h1, h2 = build_crossing_pair(orders, max_edges)
     else:

@@ -62,3 +62,10 @@ class ZeroPolynomialError(RelayoptError):
     """Profile of the zero polynomial is undefined."""
 
     code = "zero-polynomial"
+
+
+class DomainError(RelayoptError, ValueError):
+    """Argument outside the domain of a construction or expansion (an even
+    breakpoint order, an empty profile, disconnected terminals, ...)."""
+
+    code = "bad-argument"

@@ -343,7 +343,12 @@ def parse_graph(obj) -> tuple[TwoTerminalGraph, EdgeProbabilityMap]:
     for key in ("vertices", "edges", "s", "r"):
         if key not in obj:
             raise FormatError(f"graph JSON missing {key!r}")
-    graph = TwoTerminalGraph(obj["vertices"], [tuple(e) for e in obj["edges"]], obj["s"], obj["r"])
+    if not isinstance(obj["vertices"], (list, tuple)) or not isinstance(obj["edges"], (list, tuple)):
+        raise FormatError("graph JSON 'vertices' and 'edges' must be lists")
+    for e in obj["edges"]:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise FormatError(f"bad edge entry: {e!r}")
+    graph = TwoTerminalGraph(obj["vertices"], obj["edges"], str(obj["s"]), str(obj["r"]))
     prob = obj.get("prob")
     if prob is None:
         return graph, EdgeProbabilityMap.constant_p(graph)
@@ -353,8 +358,11 @@ def parse_graph(obj) -> tuple[TwoTerminalGraph, EdgeProbabilityMap]:
     keymap = {f"{u}-{v}": (u, v) for u, v in graph.edges}
     if len(keymap) != graph.m:
         raise FormatError("edge keys collide; vertex labels may not contain '-'")
+    raw_overrides = prob.get("overrides", {})
+    if not isinstance(raw_overrides, dict):
+        raise FormatError("prob overrides must be an object")
     overrides = {}
-    for key, raw in prob.get("overrides", {}).items():
+    for key, raw in raw_overrides.items():
         if key not in keymap:
             raise FormatError(f"override for unknown edge {key!r}")
         overrides[keymap[key]] = _parse_probability_value(raw)

@@ -31,14 +31,13 @@ from .graphs import (
     Instruction,
     Protocol,
     TwoTerminalGraph,
-    edge_key,
     require_open_unit,
 )
 from .polys import Poly, poly_gcd
 from .reliability import (
     MAX_SCAN_EDGES,
     admits_table,
-    edge_bits,
+    edge_masks,
     monotone_table,
     polynomial_from_counts,
     polynomial_from_table,
@@ -77,91 +76,21 @@ class DiscrepancyReport:
     finite: bool
 
 
-class _TrailReachability:
-    """Subset-restricted existence of an s,r-trail avoiding a removal set.
-
-    Trails may turn around on an edge (the turn triple is not an
-    instruction, so it can never be in the removal set) and may use
-    instructions outside the CFP; only the removed instructions are
-    forbidden."""
-
-    __slots__ = ("ebit", "out", "initial", "accepting_mask")
-
-    def __init__(self, graph: TwoTerminalGraph, removed: RemovalSet):
-        states = []
-        for u, v in sorted(graph.edges):
-            states.append((u, v))
-            states.append((v, u))
-        states.sort()
-        index = {st: i for i, st in enumerate(states)}
-        bits = edge_bits(graph)
-        self.ebit = [bits[edge_key(u, v)] for u, v in states]
-        out = []
-        for u, v in states:
-            row = []
-            for w in graph.neighbors(v):
-                if w != u and Instruction(u, v, w) in removed:
-                    continue
-                row.append(index[(v, w)])
-            out.append(tuple(row))
-        self.out = out
-        self.initial = tuple(index[(graph.s, x)] for x in graph.neighbors(graph.s))
-        acc = 0
-        for y in graph.neighbors(graph.r):
-            acc |= 1 << index[(y, graph.r)]
-        self.accepting_mask = acc
-
-    def test(self, S: int) -> bool:
-        ebit = self.ebit
-        out = self.out
-        acc = self.accepting_mask
-        seen = 0
-        stack = []
-        for i in self.initial:
-            if ebit[i] & S:
-                b = 1 << i
-                if acc & b:
-                    return True
-                if not seen & b:
-                    seen |= b
-                    stack.append(i)
-        while stack:
-            i = stack.pop()
-            for j in out[i]:
-                b = 1 << j
-                if seen & b or not ebit[j] & S:
-                    continue
-                if acc & b:
-                    return True
-                seen |= b
-                stack.append(j)
-        return False
-
-
 def _removal_event_polynomial(
     graph: TwoTerminalGraph,
     removed: RemovalSet,
+    reduced_table: bytearray,
     probmap: EdgeProbabilityMap | None,
-    threads: int | None,
-    max_edges: int,
 ) -> Poly:
     """Probability that some s,r-path using a removed instruction survives
-    while every s,r-trail avoiding the removed instructions loses an edge."""
-    m = graph.m
-    bits = edge_bits(graph)
-    masks = set()
-    for p in enumerate_sr_paths(graph):
-        if any(i in removed for i in instructions_in(p)):
-            mask = 0
-            for i in range(len(p) - 1):
-                mask |= bits[edge_key(p[i], p[i + 1])]
-            masks.add(mask)
-    used_table = monotone_table(m, lambda S: S in masks)
-    trail_table = monotone_table(m, _TrailReachability(graph, removed).test)
-    event = bytearray(1 << m)
-    for S in range(1 << m):
-        event[S] = 1 if used_table[S] and not trail_table[S] else 0
-    return polynomial_from_table(graph, probmap, event, threads)
+    while the reduced protocol admits no surviving walk (``reduced_table``
+    is its admission table).  Every other surviving path is a walk of the
+    reduced protocol, so this is exactly the reliability the removal loses."""
+    used = edge_masks(graph, (p for p in enumerate_sr_paths(graph)
+                              if any(i in removed for i in instructions_in(p))))
+    used_table = monotone_table(graph.m, set(used).__contains__)
+    event = bytearray(1 if u and not r else 0 for u, r in zip(used_table, reduced_table))
+    return polynomial_from_table(graph, probmap, event)
 
 
 def discrepancy(
@@ -169,7 +98,6 @@ def discrepancy(
     removed: Iterable[tuple[str, str, str]],
     probmap: EdgeProbabilityMap | None = None,
     check_event: bool = False,
-    threads: int | None = None,
     max_edges: int = MAX_SCAN_EDGES,
 ) -> DiscrepancyReport:
     """Reliability lost by deleting the given instructions from the CFP."""
@@ -179,11 +107,12 @@ def discrepancy(
     if bad:
         worst = "".join(sorted(bad)[0])
         raise InstructionError(f"{worst} is not a CFP instruction", code="not-in-cfp")
-    base = rho_A(astar, probmap, threads, max_edges)
+    base = rho_A(astar, probmap, max_edges)
     reduced = astar.minus(removal)
-    d = base - rho_A(reduced, probmap, threads, max_edges)
+    reduced_table = admits_table(reduced, max_edges)
+    d = base - polynomial_from_table(graph, probmap, reduced_table)
     if check_event:
-        event = _removal_event_polynomial(graph, removal, probmap, threads, max_edges)
+        event = _removal_event_polynomial(graph, removal, reduced_table, probmap)
         if event != d:
             raise AssertionError(
                 f"event probability {event!r} differs from discrepancy {d!r}"
@@ -306,7 +235,6 @@ _CANDIDATE_CACHE: dict = {}
 def candidate_polynomials(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None = None,
-    threads: int | None = None,
     max_edges: int = MAX_SCAN_EDGES,
     max_tests: int = MAX_REMOVAL_TESTS,
 ) -> list[tuple[RemovalSet, Poly]]:
@@ -329,7 +257,7 @@ def candidate_polynomials(
     # Removal sets arrive sorted, so the first one kept is the least.
     by_counts: dict[tuple[int, ...], tuple[RemovalSet, list[list[int]]]] = {}
     for removal in minimal_removal_sets(graph, max_tests):
-        counts = subset_counts(graph, probmap, admits_table(astar.minus(removal), max_edges), threads)
+        counts = subset_counts(graph, probmap, admits_table(astar.minus(removal), max_edges))
         by_counts.setdefault(tuple(itertools.chain.from_iterable(counts)), (removal, counts))
     best: dict[Poly, RemovalSet] = {}
     for vector, (removal, counts) in by_counts.items():
@@ -347,7 +275,6 @@ def rho_hat_at(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None = None,
     at: Fraction | None = None,
-    threads: int | None = None,
     max_edges: int = MAX_SCAN_EDGES,
 ):
     """Optimal reliability over finite protocols.
@@ -360,7 +287,7 @@ def rho_hat_at(
     """
     if at is not None:
         require_open_unit(at)
-    cands = candidate_polynomials(graph, probmap, threads, max_edges)
+    cands = candidate_polynomials(graph, probmap, max_edges)
     if at is not None:
         best_val: Fraction | None = None
         best_rem: RemovalSet | None = None
@@ -548,37 +475,34 @@ def _defining_factor(diff: Poly, root: AlgebraicNumber, order: int) -> Poly:
 def rho_hat_piecewise(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None = None,
-    threads: int | None = None,
     max_edges: int = MAX_SCAN_EDGES,
 ) -> PiecewiseReliability:
     """Optimal reliability as an exact piecewise polynomial on (0,1): the
     upper envelope of the candidate polynomials, with breakpoints located
     by exact root isolation of pairwise differences."""
-    return _upper_envelope(candidate_polynomials(graph, probmap, threads, max_edges))
+    return _upper_envelope(candidate_polynomials(graph, probmap, max_edges))
 
 
 def min_discrepancy(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None = None,
-    threads: int | None = None,
     max_edges: int = MAX_SCAN_EDGES,
 ) -> PiecewiseReliability:
     """rho - rho_hat as an exact piecewise polynomial (a single piece where
     no breakpoint occurs)."""
-    base = rho(graph, probmap, threads, max_edges)
-    return rho_hat_piecewise(graph, probmap, threads, max_edges).map_pieces(lambda q: base - q)
+    base = rho(graph, probmap, max_edges)
+    return rho_hat_piecewise(graph, probmap, max_edges).map_pieces(lambda q: base - q)
 
 
 def optimal_protocol(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None = None,
     at: Fraction | None = None,
-    threads: int | None = None,
     max_edges: int = MAX_SCAN_EDGES,
 ) -> tuple[Protocol, RemovalSet]:
     """A finite strongly essential protocol attaining the optimum: the
     reduction of the winning maximal finite candidate."""
-    _, removal = rho_hat_at(graph, probmap, at, threads, max_edges)
+    _, removal = rho_hat_at(graph, probmap, at, max_edges)
     return spfp_reduce(cfp(graph).minus(removal)), removal
 
 
@@ -586,7 +510,6 @@ def breakpoint_free_check(
     graph: TwoTerminalGraph,
     a: int,
     b: int,
-    threads: int | None = None,
     max_edges: int = MAX_SCAN_EDGES,
 ) -> bool:
     """True iff no breakpoint of the optimal reliability lies within
@@ -595,7 +518,7 @@ def breakpoint_free_check(
         raise ValueError("need 0 <= a <= b with b >= 1")
     center = Fraction(a, b)
     radius = Fraction(1, (3 * b) ** graph.m)
-    pw = rho_hat_piecewise(graph, None, threads, max_edges)
+    pw = rho_hat_piecewise(graph, None, max_edges)
     for bp in pw.breakpoints:
         root = bp.root
         if root.equals_rational(center):

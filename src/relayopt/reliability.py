@@ -10,8 +10,6 @@ lattice-minimal candidates and on non-admitting sets.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from .engine import StateGraph, a_paths, cfp
@@ -22,16 +20,6 @@ from .polys import Poly
 MAX_SCAN_EDGES = 24
 MAX_SPECIAL_EDGES = 16
 MAX_IE_PATHS = 20
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("RELAYOPT_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 1
-    return max(1, threads)
 
 
 def _check_scan_guard(m: int, max_edges: int) -> None:
@@ -121,16 +109,21 @@ def subset_admits_walk(protocol: Protocol, subset: Iterable[tuple[str, str]]) ->
     return WalkAdmission(protocol).test(S)
 
 
-def path_masks(protocol: Protocol) -> list[int]:
-    """Edge bitmasks of the protocol's s,r-paths, deduplicated."""
-    bits = edge_bits(protocol.graph)
+def edge_masks(graph: TwoTerminalGraph, paths: Iterable[Sequence[str]]) -> list[int]:
+    """Edge bitmasks of the given vertex sequences, deduplicated."""
+    bits = edge_bits(graph)
     masks = set()
-    for p in a_paths(protocol):
+    for p in paths:
         mask = 0
         for i in range(len(p) - 1):
             mask |= bits[edge_key(p[i], p[i + 1])]
         masks.add(mask)
     return sorted(masks)
+
+
+def path_masks(protocol: Protocol) -> list[int]:
+    """Edge bitmasks of the protocol's s,r-paths, deduplicated."""
+    return edge_masks(protocol.graph, a_paths(protocol))
 
 
 def path_table(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> bytearray:
@@ -209,24 +202,6 @@ def _binomial_basis(n: int) -> list[Poly]:
     return [xp[i] * op[n - i] for i in range(n + 1)]
 
 
-def _count_block(table: bytearray, lo: int, hi: int, spos: Sequence[int],
-                 plain_mask: int, n_plain: int) -> list[list[int]]:
-    counts = [[0] * (n_plain + 1) for _ in range(1 << len(spos))]
-    if not spos:
-        row = counts[0]
-        for S in range(lo, hi):
-            if table[S]:
-                row[(S & plain_mask).bit_count()] += 1
-    else:
-        for S in range(lo, hi):
-            if table[S]:
-                pat = 0
-                for k, pos in enumerate(spos):
-                    pat |= (S >> pos & 1) << k
-                counts[pat][(S & plain_mask).bit_count()] += 1
-    return counts
-
-
 def _edge_polynomials(
     graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None
 ) -> tuple[list[Poly], list[int]]:
@@ -243,7 +218,6 @@ def subset_counts(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None,
     table: bytearray,
-    threads: int | None = None,
 ) -> list[list[int]]:
     """counts[pattern][i]: admitted subsets whose overridden edges are
     exactly those of ``pattern`` (bit k for the k-th overridden edge in
@@ -260,23 +234,19 @@ def subset_counts(
             plain_mask |= 1 << i
     n_plain = m - len(spos)
 
-    threads = _resolve_threads(threads)
-    size = 1 << m
-    if threads == 1 or size < 4096:
-        counts = _count_block(table, 0, size, spos, plain_mask, n_plain)
+    counts = [[0] * (n_plain + 1) for _ in range(1 << len(spos))]
+    if not spos:
+        row = counts[0]
+        for S in range(1 << m):
+            if table[S]:
+                row[(S & plain_mask).bit_count()] += 1
     else:
-        chunk = (size + threads - 1) // threads
-        ranges = [(lo, min(lo + chunk, size)) for lo in range(0, size, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(
-                lambda rg: _count_block(table, rg[0], rg[1], spos, plain_mask, n_plain),
-                ranges,
-            ))
-        counts = blocks[0]
-        for block in blocks[1:]:
-            for pat in range(len(counts)):
-                for i in range(n_plain + 1):
-                    counts[pat][i] += block[pat][i]
+        for S in range(1 << m):
+            if table[S]:
+                pat = 0
+                for k, pos in enumerate(spos):
+                    pat |= (S >> pos & 1) << k
+                counts[pat][(S & plain_mask).bit_count()] += 1
     return counts
 
 
@@ -311,54 +281,49 @@ def polynomial_from_table(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None,
     table: bytearray,
-    threads: int | None = None,
 ) -> Poly:
     """Sum, over admitted subsets S, of prod_{e in S} w_e * prod_{e not in S}
     (1 - w_e): the subset counts of the table, assembled."""
-    return polynomial_from_counts(graph, probmap, subset_counts(graph, probmap, table, threads))
+    return polynomial_from_counts(graph, probmap, subset_counts(graph, probmap, table))
 
 
 def rho_A(
     protocol: Protocol,
     probmap: EdgeProbabilityMap | None = None,
-    threads: int | None = None,
     max_edges: int = MAX_SCAN_EDGES,
 ) -> Poly:
     """Probability that the edges of some protocol walk all survive."""
     table = admits_table(protocol, max_edges)
-    return polynomial_from_table(protocol.graph, probmap, table, threads)
+    return polynomial_from_table(protocol.graph, probmap, table)
 
 
 def rho_prime_A(
     protocol: Protocol,
     probmap: EdgeProbabilityMap | None = None,
-    threads: int | None = None,
     max_edges: int = MAX_SCAN_EDGES,
 ) -> Poly:
     """Probability that the edge set of some protocol path fully survives."""
     table = path_table(protocol, max_edges)
-    return polynomial_from_table(protocol.graph, probmap, table, threads)
+    return polynomial_from_table(protocol.graph, probmap, table)
 
 
 def rho(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None = None,
-    threads: int | None = None,
     max_edges: int = MAX_SCAN_EDGES,
 ) -> Poly:
     """Two-terminal reliability: walk survival under the CFP."""
-    return rho_A(cfp(graph), probmap, threads, max_edges)
+    return rho_A(cfp(graph), probmap, max_edges)
 
 
 def rho_by_connectivity(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None = None,
-    threads: int | None = None,
     max_edges: int = MAX_SCAN_EDGES,
 ) -> Poly:
     """Independent cross-check: per-subset s,r-connectivity."""
     table = connectivity_table(graph, max_edges)
-    return polynomial_from_table(graph, probmap, table, threads)
+    return polynomial_from_table(graph, probmap, table)
 
 
 def rho_prime_inclusion_exclusion(

@@ -281,3 +281,57 @@ def test_constructions_read_no_stdin(argv):
     status, out, err = run_cli(argv, "")
     assert status == 0 and not err
     assert json.loads(out)
+
+
+def _graph_text(**fields):
+    obj = {"vertices": ["s", "a", "r"], "edges": [["s", "a"], ["a", "r"]], "s": "s", "r": "r"}
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+DISCONNECTED = _graph_text(edges=[["s", "a"]])
+MISSING = "/nonexistent/relayopt-input.json"
+
+MALFORMED = {
+    "even-breakpoint-order": (["breakpoint-graph", "--orders", "2"], "", "bad-argument", 2),
+    "negative-breakpoint-order": (["breakpoint-graph", "--orders", "-1"], "", "bad-argument", 2),
+    "zero-profile": (["crossing-pair", "--profile", "0"], "", "bad-argument", 2),
+    "empty-profile": (["crossing-pair", "--profile", ""], "", "bad-argument", 2),
+    "near-zero-disconnected": (["near-zero"], DISCONNECTED, "disconnected", 2),
+    "missing-protocol-file": (["simulate", "--protocol", MISSING, "--p", "1/2", "--trials", "5", "--seed", "1"],
+                              _graph_text(), "usage", 1),
+    "missing-remove-file": (["discrepancy", "--remove", MISSING], _graph_text(), "usage", 1),
+    "missing-with-file": (["compose", "--op", "series", "--with", MISSING], _graph_text(), "usage", 1),
+    "missing-kelmans-files": (["compose", "--op", "kelmans", "--f2", MISSING, "--g1", MISSING, "--g2", MISSING],
+                              _graph_text(), "usage", 1),
+    "missing-tree-file": (["expand", "--edge", "s-a", "--with", MISSING], _graph_text(), "usage", 1),
+    "three-element-edge": (["validate"], _graph_text(edges=[["s", "a", "x"], ["a", "r"]]), "bad-format", 2),
+    "one-element-edge": (["validate"], _graph_text(edges=[["s"]]), "bad-format", 2),
+    "edges-not-a-list": (["validate"], _graph_text(edges="sa"), "bad-format", 2),
+    "vertices-not-a-list": (["validate"], _graph_text(vertices=3), "bad-format", 2),
+    "overrides-not-an-object": (["validate"], _graph_text(prob={"overrides": []}), "bad-format", 2),
+    "graph-not-an-object": (["validate"], "\"not an object\"", "bad-format", 2),
+    "removed-threads-flag": (["--threads", "2", "cfp"], _graph_text(), "usage", 1),
+    "removed-quiet-flag": (["--quiet", "cfp"], _graph_text(), "usage", 1),
+}
+
+
+@pytest.mark.parametrize("argv, stdin_text, code, status", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_a_json_error(argv, stdin_text, code, status):
+    got, out, err = run_cli(argv, stdin_text)
+    assert (got, out) == (status, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"]["code"] == code
+
+
+def test_undecodable_graph_is_a_format_error():
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8")
+    assert main(["validate"], stdin=stdin, stdout=out, stderr=err) == 2
+    assert json.loads(err.getvalue())["error"]["code"] == "bad-format"
+
+
+def test_integer_terminals_match_integer_labels():
+    status, out, err = run_cli(["validate"], json.dumps({"vertices": [1, 2], "edges": [[1, 2]], "s": 1, "r": 2}))
+    assert status == 0 and not err
+    assert json.loads(out)["s"] == "1"

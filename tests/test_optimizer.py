@@ -77,6 +77,21 @@ def test_discrepancy_event_identity_more_sets(b0_graph):
         discrepancy(b0_graph, removal, check_event=True)
 
 
+def test_discrepancy_event_identity_random_graphs():
+    """The removal event equals the discrepancy for random removal sets,
+    whether or not the reduced protocol is finite."""
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 40:
+        graph = random_connected_graph(rng, 5, 11)
+        instructions = sorted(cfp(graph).instructions)
+        if not instructions:
+            continue
+        removal = rng.sample(instructions, min(rng.randint(1, 3), len(instructions)))
+        discrepancy(graph, removal, check_event=True)
+        checked += 1
+
+
 def test_discrepancy_rejects_non_cfp(b0_graph):
     with pytest.raises(InstructionError) as exc:
         discrepancy(b0_graph, [("4", "1", "3")])

@@ -178,10 +178,6 @@ def test_probmap_substitution(b0_graph, b0_cfp):
         assert poly(q) == rho_A(b0_cfp, values)(q)
 
 
-def test_threads_do_not_change_results(b0_cfp):
-    assert rho_A(b0_cfp, threads=1) == rho_A(b0_cfp, threads=4)
-
-
 def test_scan_guard():
     rng = random.Random(3)
     g = random_connected_graph(rng, 3, 7)
