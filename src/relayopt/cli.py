@@ -123,10 +123,21 @@ def _parse_orders(raw: str) -> tuple[int, ...]:
         raise FormatError(f"bad order list {raw!r}") from exc
 
 
+def _max_edges(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+    if value > reliability.MAX_SCAN_EDGES_CEILING:
+        raise argparse.ArgumentTypeError(
+            f"{value} exceeds the ceiling of {reliability.MAX_SCAN_EDGES_CEILING} edges")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="relayopt", description=__doc__)
-    parser.add_argument("--max-edges", type=int, default=reliability.MAX_SCAN_EDGES,
-                        help="guard on exhaustive subset scans")
+    parser.add_argument("--max-edges", type=_max_edges, default=reliability.MAX_SCAN_EDGES,
+                        help=f"guard on exhaustive subset scans, at most {reliability.MAX_SCAN_EDGES_CEILING}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("validate")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,25 +43,30 @@ PROFILE_INTERVAL_WIDTH = Fraction(1, 1 << 20)
 
 @dataclass(frozen=True)
 class SPTree:
-    """Construction tree: a single edge, or a series/parallel join."""
+    """Construction tree: a single edge, or a series/parallel join.
+
+    Trees share subtrees, so a tree of n nodes can realize exponentially
+    many edges; the edge count and the terminal-edge flag are computed
+    once per node, from the children's, when the node is built."""
 
     kind: str
     left: SPTree | None = None
     right: SPTree | None = None
+    edge_count: int = field(init=False, repr=False, compare=False)
+    _terminal_edge: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def edge_count(self) -> int:
+    def __post_init__(self):
         if self.kind == "edge":
-            return 1
-        return self.left.edge_count + self.right.edge_count
+            count, terminal = 1, True
+        else:
+            count = self.left.edge_count + self.right.edge_count
+            terminal = self.kind == "parallel" and (self.left._terminal_edge or self.right._terminal_edge)
+        object.__setattr__(self, "edge_count", count)
+        object.__setattr__(self, "_terminal_edge", terminal)
 
     def has_terminal_edge(self) -> bool:
         """Does the realization contain an edge joining s and r directly?"""
-        if self.kind == "edge":
-            return True
-        if self.kind == "series":
-            return False
-        return self.left.has_terminal_edge() or self.right.has_terminal_edge()
+        return self._terminal_edge
 
 
 def edge() -> SPTree:

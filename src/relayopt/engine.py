@@ -36,19 +36,21 @@ def enumerate_sr_paths(graph: TwoTerminalGraph) -> list[Walk]:
     target = graph.r
     path = [graph.s]
     on_path = {graph.s}
-
-    def extend(v: str) -> None:
-        for w in graph.neighbors(v):
+    # one neighbour iterator per vertex on the path, so depth is not
+    # bounded by the interpreter's recursion limit
+    pending = [iter(graph.neighbors(graph.s))]
+    while pending:
+        for w in pending[-1]:
             if w == target:
                 paths.append(tuple(path) + (w,))
             elif w not in on_path:
                 path.append(w)
                 on_path.add(w)
-                extend(w)
-                path.pop()
-                on_path.remove(w)
-
-    extend(graph.s)
+                pending.append(iter(graph.neighbors(w)))
+                break
+        else:
+            pending.pop()
+            on_path.remove(path.pop())
     return paths
 
 

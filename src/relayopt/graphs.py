@@ -245,17 +245,9 @@ class EdgeProbabilityMap:
     def poly_for_edge(self, e: Edge) -> Poly:
         return self._polys[e]
 
-    @property
-    def is_all_p(self) -> bool:
-        x = Poly.x()
-        return all(poly == x for poly in self._polys.values())
-
     def restrict(self, graph: TwoTerminalGraph) -> EdgeProbabilityMap:
         """The same assignment on a graph whose edges are a subset of ours."""
         return EdgeProbabilityMap(graph, {e: self._polys[e] for e in graph.edges})
-
-    def evaluate(self, p0: Fraction) -> dict[Edge, Fraction]:
-        return {e: poly(p0) for e, poly in self._polys.items()}
 
     def items(self) -> tuple[tuple[Edge, Poly], ...]:
         return tuple(sorted(self._polys.items()))

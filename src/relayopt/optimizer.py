@@ -369,9 +369,6 @@ class PiecewiseReliability:
     def polynomial_at(self, p0: Fraction) -> Poly:
         return self.pieces[self._piece_index(p0)].poly
 
-    def witness_at(self, p0: Fraction) -> RemovalSet:
-        return self.pieces[self._piece_index(p0)].removed
-
     def value_at(self, p0: Fraction) -> Fraction:
         return self.polynomial_at(p0)(p0)
 

@@ -1,14 +1,24 @@
 """Dense univariate polynomials with exact rational coefficients.
 
 All reliability computations in this package run over these polynomials;
-no floating point is used anywhere on the exact path.  Coefficients are
-stored by ascending degree with trailing zeros trimmed, so the zero
-polynomial has an empty coefficient tuple.
+no floating point is used anywhere on the exact path.
+
+A polynomial is stored as integer numerators over one common denominator:
+``num`` holds the numerators by ascending degree with trailing zeros
+trimmed (the zero polynomial has ``num == ()``), and ``den`` is a positive
+integer.  The form is canonical: ``gcd(den, *num) == 1``, and the zero
+polynomial has ``den == 1``.  Two polynomials are therefore equal exactly
+when their ``(num, den)`` pairs are, and the arithmetic needs no Fraction
+per coefficient: sums and products cross-multiply and convolve integers,
+and division is integer pseudo-division (Knuth, TAOCP vol. 2, 4.6.1)
+rescaled at the end.  ``coeffs`` gives the coefficients as Fractions for
+printing and inspection, and the hash equals the hash of that tuple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import FormatError
@@ -28,32 +38,102 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-class Poly:
-    """Immutable polynomial over the rationals."""
+def _canonical(num: list[int], den: int) -> Poly:
+    """The polynomial num/den for integer ``num`` (may be untrimmed) and a
+    nonzero integer ``den``, reduced to canonical form."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return _ZERO
+    if den < 0:
+        num = [-c for c in num]
+        den = -den
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return _raw(tuple(num), den)
 
-    __slots__ = ("coeffs",)
+
+def _raw(num: tuple[int, ...], den: int) -> Poly:
+    """Wrap a pair already in canonical form."""
+    p = object.__new__(Poly)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
+
+
+def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return out
+
+
+def _pseudo_divide(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division of nonzero ``b`` into ``a``: returns
+    (q, r, scale) with scale * a == q * b + r, deg r < deg b and scale > 0.
+    Each step scales by lc(b) / gcd(lc(b), leading term) only, which keeps
+    ``scale`` a divisor of lc(b)^k and the numbers as small as it can."""
+    lead = b[-1]
+    db = len(b) - 1
+    rem = list(a)
+    quot = [0] * max(0, len(a) - db)
+    scale = 1
+    for k in range(len(a) - db - 1, -1, -1):
+        c = rem[k + db]
+        if not c:
+            continue
+        g = gcd(c, lead)
+        step = lead // g
+        if step < 0:
+            step = -step
+            g = -g
+        if step != 1:
+            scale *= step
+            for i in range(k + db):
+                rem[i] *= step
+            for i in range(k + 1, len(quot)):
+                quot[i] *= step
+        c //= g
+        quot[k] = c
+        for j, bc in enumerate(b[:-1], k):
+            rem[j] -= c * bc
+        rem[k + db] = 0
+    del rem[db:]
+    return quot, rem, scale
+
+
+class Poly:
+    """Immutable polynomial over the rationals, in canonical
+    integer-numerator form (see the module docstring)."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        fs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fs))
+        p = _canonical([c.numerator * (den // c.denominator) for c in fs], den)
+        _set_num(self, p.num)
+        _set_den(self, p.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @classmethod
     def zero(cls) -> Poly:
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls) -> Poly:
-        return cls((1,))
+        return _ONE
 
     @classmethod
     def x(cls) -> Poly:
         """The identity polynomial p."""
-        return cls((0, 1))
+        return _X
 
     @classmethod
     def constant(cls, c: RationalLike) -> Poly:
@@ -67,30 +147,36 @@ class Poly:
         return [format_rational(c) for c in self.coeffs]
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients by ascending degree, as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial reported as -1."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -100,18 +186,29 @@ class Poly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self.den, other.den
+        if da != db:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            a = [c * sa for c in a]
+            b = [c * sb for c in b]
+            da *= sa
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _canonical(out, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
+        return _raw(tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other) -> Poly:
         other = _coerce(other)
@@ -129,16 +226,9 @@ class Poly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return Poly(out)
+        if not self.num or not other.num:
+            return _ZERO
+        return _canonical(_convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -155,43 +245,48 @@ class Poly:
         return result
 
     def __call__(self, x: Fraction) -> Fraction:
-        """Exact evaluation by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact evaluation: homogeneous Horner's rule on the numerator and
+        denominator of ``x``, with one Fraction built at the end."""
+        num = self.num
+        if not num:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc = num[-1]
+        if q == 1:
+            for c in reversed(num[:-1]):
+                acc = acc * p + c
+            return Fraction(acc, self.den)
+        qk = 1
+        for c in reversed(num[:-1]):
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, qk * self.den)
 
     def derivative(self) -> Poly:
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return _canonical([i * c for i, c in enumerate(self.num) if i], self.den)
 
     def compose(self, inner: Poly) -> Poly:
         """Substitute ``inner`` for the variable."""
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(c)
-        return acc
+        acc = _ZERO
+        for c in reversed(self.num):
+            acc = acc * inner + c
+        return _canonical(list(acc.num), acc.den * self.den)
 
     def monic(self) -> Poly:
-        if self.is_zero:
+        if not self.num:
             return self
-        lc = self.leading()
-        return Poly(tuple(c / lc for c in self.coeffs))
+        return _canonical(list(self.num), self.num[-1])
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         """Exact polynomial long division; ``other`` must be nonzero."""
-        if other.is_zero:
+        if not other.num:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = other.leading()
-        dd = other.degree
-        quot = [Fraction(0)] * max(0, len(rem) - dd)
-        for k in range(len(rem) - dd - 1, -1, -1):
-            c = rem[k + dd] / dlead
-            if c:
-                quot[k] = c
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] -= c * oc
-        return Poly(quot), Poly(rem)
+        quot, rem, scale = _pseudo_divide(self.num, other.num)
+        # scale * A = Q * B + R with self = A / da and other = B / db, so
+        # self = (Q * db / (scale * da)) * other + R / (scale * da)
+        den = scale * self.den
+        db = other.den
+        return _canonical([c * db for c in quot], den), _canonical(rem, den)
 
     def exact_div(self, other: Poly) -> Poly:
         q, r = self.divmod(other)
@@ -203,11 +298,20 @@ class Poly:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
 
+_set_num = Poly.num.__set__
+_set_den = Poly.den.__set__
+_ZERO = _raw((), 1)
+_ONE = _raw((1,), 1)
+_X = _raw((0, 1), 1)
+
+
 def _coerce(value) -> Poly | None:
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Poly((value,))
+    if isinstance(value, int):
+        return _raw((value,), 1) if value else _ZERO
+    if isinstance(value, Fraction):
+        return _raw((value.numerator,), value.denominator) if value else _ZERO
     return None
 
 

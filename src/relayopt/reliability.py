@@ -18,6 +18,9 @@ from .graphs import Edge, EdgeProbabilityMap, Protocol, TwoTerminalGraph, edge_k
 from .polys import Poly
 
 MAX_SCAN_EDGES = 24
+# The largest subset-scan guard a caller may ask for: a 2^28-entry
+# admission table takes 256 MiB.
+MAX_SCAN_EDGES_CEILING = 28
 MAX_SPECIAL_EDGES = 16
 MAX_IE_PATHS = 20
 

@@ -1,11 +1,14 @@
+import hashlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
+from relayopt import build_breakpoint_graph, build_crossing_pair, realize, rho
 from relayopt.cli import main
-from relayopt.graphs import b0, graph_json
+from relayopt.graphs import EdgeProbabilityMap, b0, graph_json
 
 
 def run_cli(argv, stdin_text=""):
@@ -313,6 +316,9 @@ MALFORMED = {
     "graph-not-an-object": (["validate"], "\"not an object\"", "bad-format", 2),
     "removed-threads-flag": (["--threads", "2", "cfp"], _graph_text(), "usage", 1),
     "removed-quiet-flag": (["--quiet", "cfp"], _graph_text(), "usage", 1),
+    "max-edges-over-ceiling": (["--max-edges", "1000", "rho-hat", "--at", "1/2"], _graph_text(), "usage", 1),
+    "max-edges-just-over-ceiling": (["--max-edges", "29", "reliability"], _graph_text(), "usage", 1),
+    "max-edges-not-an-integer": (["--max-edges", "many", "cfp"], _graph_text(), "usage", 1),
 }
 
 
@@ -335,3 +341,51 @@ def test_integer_terminals_match_integer_labels():
     status, out, err = run_cli(["validate"], json.dumps({"vertices": [1, 2], "edges": [[1, 2]], "s": 1, "r": 2}))
     assert status == 0 and not err
     assert json.loads(out)["s"] == "1"
+
+
+@pytest.mark.parametrize("argv", [["breakpoint-graph", "--orders", "25"], ["crossing-pair", "--profile", "25"]])
+def test_large_construction_hits_the_guard_quickly(argv):
+    start = time.perf_counter()
+    status, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 1
+    assert (status, out) == (3, "")
+    assert json.loads(err)["error"]["code"] == "guard-exceeded"
+
+
+def test_cfp_on_a_long_chain():
+    n = 5000
+    verts = [f"v{i}" for i in range(n)]
+    text = json.dumps({"vertices": verts, "edges": [[verts[i], verts[i + 1]] for i in range(n - 1)],
+                       "s": verts[0], "r": verts[-1]})
+    for argv in (["cfp"], ["paths"]):
+        status, out, err = run_cli(argv, text)
+        assert status == 0 and not err
+    assert len(json.loads(out)["paths"][0]) == n
+
+
+def _crossing_pair_b0_text():
+    graph = b0()
+    h1, h2 = build_crossing_pair((1,))
+    overrides = {("s", "1"): rho(realize(h1)), ("s", "2"): rho(realize(h2))}
+    return json.dumps(graph_json(graph, EdgeProbabilityMap.with_overrides(graph, overrides)))
+
+
+# sha256 of the standard output, pinned before the integer-numerator kernel;
+# transport onto b0 and the expanded graph print the same bytes
+TRANSPORT_GOLDEN = {
+    ("rho-hat", "--piecewise"): "dc79a1ab45e1ec33f990ef193b67f0745c8777674a343d370fe23723d3bf51ec",
+    ("min-discrepancy",): "6f0e750817dfa0d3e8a599f1cb5ccc01c44b01a2f78cae07a0a6acdd383777d6",
+    ("rho-hat", "--at", "2/7"): "4c32900cc9bfbef42bb3ff1a0c1c21cc14c4908cc749969dc5f6e4692d2218e3",
+}
+
+
+@pytest.mark.parametrize("source", ["b0-crossing-pair", "breakpoint-graph"])
+@pytest.mark.parametrize("argv", TRANSPORT_GOLDEN, ids=" ".join)
+def test_breakpoint_outputs_golden(source, argv):
+    if source == "b0-crossing-pair":
+        text = _crossing_pair_b0_text()
+    else:
+        text = json.dumps(graph_json(build_breakpoint_graph((1,))))
+    status, out, err = run_cli(list(argv), text)
+    assert status == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == TRANSPORT_GOLDEN[argv]
