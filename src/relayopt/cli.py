@@ -85,6 +85,8 @@ def _read_json(stream, what: str):
         return json.load(stream)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"bad {what} JSON: {exc}") from exc
+    except RecursionError:
+        raise FormatError(f"bad {what} JSON: nested too deeply") from None
 
 
 def _load_graph(stdin) -> tuple[TwoTerminalGraph, EdgeProbabilityMap]:
@@ -206,8 +208,7 @@ def _run(args, stdin, stdout) -> None:
     guard = args.max_edges
 
     def emit(obj) -> None:
-        json.dump(obj, stdout, sort_keys=True)
-        stdout.write("\n")
+        stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
     cmd = args.command
     # Commands that build their graph from arguments read no stdin.
@@ -329,8 +330,7 @@ def main(argv: list[str] | None = None, stdin=None, stdout=None, stderr=None) ->
     stderr = sys.stderr if stderr is None else stderr
 
     def fail(code: str, message: str, status: int) -> int:
-        json.dump({"error": {"code": code, "message": message}}, stderr, sort_keys=True)
-        stderr.write("\n")
+        stderr.write(json.dumps({"error": {"code": code, "message": message}}, sort_keys=True) + "\n")
         return status
 
     try:

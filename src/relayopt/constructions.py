@@ -102,24 +102,24 @@ def path_graph(k: int) -> SPTree:
 
 def realize(tree: SPTree) -> TwoTerminalGraph:
     """Deterministic realization with terminals "s", "r" and internal
-    vertices "x1", "x2", ... allocated in construction order."""
+    vertices "x1", "x2", ... allocated in construction order (pre-order,
+    left before right), walking the tree with an explicit stack."""
     counter = itertools.count(1)
     edges: list[tuple[str, str]] = []
-
-    def build(t: SPTree, sl: str, rl: str) -> None:
+    stack = [(tree, "s", "r")]
+    while stack:
+        t, sl, rl = stack.pop()
         if t.kind == "edge":
             edges.append((sl, rl))
         elif t.kind == "series":
             mid = f"x{next(counter)}"
-            build(t.left, sl, mid)
-            build(t.right, mid, rl)
+            stack.append((t.right, mid, rl))
+            stack.append((t.left, sl, mid))
         elif t.kind == "parallel":
-            build(t.left, sl, rl)
-            build(t.right, sl, rl)
+            stack.append((t.right, sl, rl))
+            stack.append((t.left, sl, rl))
         else:
             raise GraphError(f"unknown tree node kind {t.kind!r}")
-
-    build(tree, "s", "r")
     vertices = {v for e in edges for v in e}
     return TwoTerminalGraph(vertices, edges, "s", "r")
 
@@ -159,18 +159,30 @@ def sptree_json(tree: SPTree):
 
 
 def parse_sptree(obj) -> SPTree:
+    """Tree from its JSON object, checked node by node in pre-order and
+    joined bottom-up with an explicit stack, so any depth parses."""
     from .errors import FormatError
 
-    if not isinstance(obj, dict):
-        raise FormatError("tree JSON must be an object")
-    if obj.get("edge"):
-        return SPTree("edge")
-    op = obj.get("op")
-    if op not in ("series", "parallel"):
-        raise FormatError(f"unknown tree op {op!r}")
-    left = parse_sptree(obj.get("left"))
-    right = parse_sptree(obj.get("right"))
-    return parallel(left, right) if op == "parallel" else series(left, right)
+    built: list[SPTree] = []
+    # (node, True) joins the node's two subtrees, already on ``built``
+    stack = [(obj, False)]
+    while stack:
+        node, join = stack.pop()
+        if join:
+            right = built.pop()
+            left = built.pop()
+            built.append(parallel(left, right) if node["op"] == "parallel" else series(left, right))
+            continue
+        if not isinstance(node, dict):
+            raise FormatError("tree JSON must be an object")
+        if node.get("edge"):
+            built.append(SPTree("edge"))
+            continue
+        op = node.get("op")
+        if op not in ("series", "parallel"):
+            raise FormatError(f"unknown tree op {op!r}")
+        stack += [(node, True), (node.get("right"), False), (node.get("left"), False)]
+    return built.pop()
 
 
 # ---------------------------------------------------------------------------

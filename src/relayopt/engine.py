@@ -14,10 +14,10 @@ through a state (y,r).  Under this encoding:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import GuardExceededError, InfiniteProtocolError
-from .graphs import Instruction, Protocol, TwoTerminalGraph
+from .graphs import Instruction, Protocol, TwoTerminalGraph, edge_key
 
 State = tuple[str, str]
 Walk = tuple[str, ...]
@@ -73,77 +73,136 @@ def a_paths(protocol: Protocol) -> list[Walk]:
     return out
 
 
-class StateGraph:
-    """Directed graph on ordered adjacent vertex pairs for one protocol."""
+def _bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
-    __slots__ = (
-        "protocol", "graph", "states", "index", "out", "rev",
-        "initial", "accepting",
-    )
+
+def _closure(seeds: int, adjacency: Sequence[int], within: int = -1) -> int:
+    """Bitmask of the states reachable from ``seeds`` along the successor
+    masks ``adjacency`` without leaving ``within``, breadth first."""
+    seen = frontier = seeds
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adjacency[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def _predecessors(adjacency: Sequence[int]) -> list[int]:
+    """Predecessor masks of the successor masks ``adjacency``."""
+    pred = [0] * len(adjacency)
+    for i, mask in enumerate(adjacency):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            pred[low.bit_length() - 1] |= bit
+            mask ^= low
+    return pred
+
+
+def topological_order(adjacency: Sequence[int]) -> list[int] | None:
+    """Every state, each before its successors in ``adjacency`` (one
+    successor bitmask per state), or None when the masks contain a cycle."""
+    indegree = [0] * len(adjacency)
+    for mask in adjacency:
+        while mask:
+            low = mask & -mask
+            indegree[low.bit_length() - 1] += 1
+            mask ^= low
+    order = [i for i, d in enumerate(indegree) if not d]
+    # the list grows while it is read, so it serves as Kahn's queue
+    for i in order:
+        mask = adjacency[i]
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+            mask ^= low
+    return order if len(order) == len(adjacency) else None
+
+
+class StateGraph:
+    """Directed graph on ordered adjacent vertex pairs for one protocol.
+
+    States are numbered in sorted order.  ``succ[i]`` is the bitmask of
+    state i's successors and ``out[i]`` the same successors as an ascending
+    tuple; ``edge[i]`` is the canonical index of the edge under state i;
+    ``initial`` lists the states (s, x) and ``accepting`` is the bitmask of
+    the states (y, r).  Every walk over it is iterative."""
+
+    __slots__ = ("graph", "states", "index", "succ", "initial", "accepting")
 
     def __init__(self, protocol: Protocol):
         graph = protocol.graph
-        states: list[State] = []
-        for u, v in sorted(graph.edges):
-            states.append((u, v))
-            states.append((v, u))
-        states.sort()
+        edges = graph.edge_list()
+        states = sorted([(u, v) for u, v in edges] + [(v, u) for u, v in edges])
         index = {st: i for i, st in enumerate(states)}
-        out: list[list[int]] = [[] for _ in states]
-        rev: list[list[int]] = [[] for _ in states]
+        succ = [0] * len(states)
         for u, v, w in protocol.instructions:
-            i, j = index[(u, v)], index[(v, w)]
-            out[i].append(j)
-            rev[j].append(i)
-        for lst in out:
-            lst.sort()
-        for lst in rev:
-            lst.sort()
-        object.__setattr__(self, "protocol", protocol)
+            succ[index[(u, v)]] |= 1 << index[(v, w)]
+        accepting = 0
+        for y in graph.neighbors(graph.r):
+            accepting |= 1 << index[(y, graph.r)]
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "states", tuple(states))
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "out", tuple(tuple(l) for l in out))
-        object.__setattr__(self, "rev", tuple(tuple(l) for l in rev))
+        object.__setattr__(self, "succ", tuple(succ))
         object.__setattr__(
             self, "initial",
             tuple(index[(graph.s, x)] for x in graph.neighbors(graph.s)),
         )
-        object.__setattr__(
-            self, "accepting",
-            frozenset(index[(y, graph.r)] for y in graph.neighbors(graph.r)),
-        )
+        object.__setattr__(self, "accepting", accepting)
 
     def __setattr__(self, name, value):
         raise AttributeError("StateGraph is immutable")
 
-    def _closure(self, seeds: Iterable[int], adjacency) -> set[int]:
-        seen = set(seeds)
-        stack = list(seen)
-        while stack:
-            i = stack.pop()
-            for j in adjacency[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return seen
+    # ``out`` and ``edge`` are derived on demand: the finiteness test, run
+    # once per candidate removal set, needs neither.
+    @property
+    def out(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(_bits, self.succ))
 
-    def reachable(self) -> set[int]:
-        return self._closure(self.initial, self.out)
+    @property
+    def edge(self) -> tuple[int, ...]:
+        position = {e: k for k, e in enumerate(self.graph.edge_list())}
+        return tuple(position[edge_key(u, v)] for u, v in self.states)
 
-    def coreachable(self) -> set[int]:
-        return self._closure(self.accepting, self.rev)
+    def useful(self) -> int:
+        """Bitmask of the states on some initial-to-accepting state walk:
+        reachable from an initial state and co-reaching an accepting one."""
+        start = sum(1 << i for i in self.initial)
+        return _closure(start, self.succ) & _closure(self.accepting, _predecessors(self.succ))
 
-    def essential_transitions(self) -> list[tuple[int, int]]:
-        """Transitions lying on some initial-to-accepting state walk."""
-        reach = self.reachable()
-        core = self.coreachable()
+    def essential(self) -> list[int]:
+        """Successor masks of the essential transitions, those lying on some
+        initial-to-accepting state walk: both ends useful."""
+        useful = self.useful()
+        return [mask & useful if useful >> i & 1 else 0 for i, mask in enumerate(self.succ)]
+
+    def circuit_transitions(self) -> list[tuple[int, int]]:
+        """Essential transitions i -> j lying on an essential circuit, i.e.
+        with i reachable from j, in ascending order."""
+        ess = self.essential()
+        back: dict[int, int] = {}
         pairs = []
-        for i in reach:
-            for j in self.out[i]:
-                if j in core:
+        for i, mask in enumerate(ess):
+            for j in _bits(mask):
+                if j not in back:
+                    back[j] = _closure(1 << j, ess)
+                if back[j] >> i & 1:
                     pairs.append((i, j))
-        pairs.sort()
         return pairs
 
     def instruction_of(self, i: int, j: int) -> Instruction:
@@ -160,7 +219,7 @@ def essential_instructions(protocol: Protocol) -> frozenset[Instruction]:
     from s to r: the start state is reachable, the end state co-reaches an
     accepting state, and the transition itself exists."""
     sg = StateGraph(protocol)
-    return frozenset(sg.instruction_of(i, j) for i, j in sg.essential_transitions())
+    return frozenset(sg.instruction_of(i, j) for i, mask in enumerate(sg.essential()) for j in _bits(mask))
 
 
 def strongly_essential_instructions(protocol: Protocol) -> frozenset[Instruction]:
@@ -171,45 +230,10 @@ def strongly_essential_instructions(protocol: Protocol) -> frozenset[Instruction
     return frozenset(ins)
 
 
-def _essential_adjacency(sg: StateGraph) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
-    for i, j in sg.essential_transitions():
-        adj.setdefault(i, []).append(j)
-    for lst in adj.values():
-        lst.sort()
-    return adj
-
-
-def _has_cycle(adj: dict[int, list[int]]) -> bool:
-    color: dict[int, int] = {}
-    for root in adj:
-        if color.get(root):
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = 1
-        while stack:
-            node, k = stack[-1]
-            succs = adj.get(node, ())
-            if k < len(succs):
-                stack[-1] = (node, k + 1)
-                nxt = succs[k]
-                c = color.get(nxt, 0)
-                if c == 1:
-                    return True
-                if c == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, 0))
-            else:
-                color[node] = 2
-                stack.pop()
-    return False
-
-
 def is_finite(protocol: Protocol) -> bool:
     """True iff the protocol has finitely many s,r-walks, i.e. the essential
     transition subgraph of its state graph is acyclic."""
-    sg = StateGraph(protocol)
-    return not _has_cycle(_essential_adjacency(sg))
+    return topological_order(StateGraph(protocol).essential()) is not None
 
 
 def essential_circuits(protocol: Protocol) -> list[tuple[State, ...]]:
@@ -217,43 +241,37 @@ def essential_circuits(protocol: Protocol) -> list[tuple[State, ...]]:
     reported once, rotated to start at its lexicographically smallest state,
     sorted."""
     sg = StateGraph(protocol)
-    adj = _essential_adjacency(sg)
+    ess = sg.essential()
+    pred = _predecessors(ess)
     cycles: list[tuple[int, ...]] = []
-    nodes = sorted(adj)
-    for anchor in nodes:
+    for anchor, mask in enumerate(ess):
+        if not mask:
+            continue
         # Restrict to states >= anchor that can get back to the anchor, so
         # each cycle is found exactly once, rooted at its smallest state.
-        back: set[int] = {anchor}
-        stack = [anchor]
-        radj: dict[int, list[int]] = {}
-        for i, js in adj.items():
-            if i < anchor:
-                continue
-            for j in js:
-                if j >= anchor:
-                    radj.setdefault(j, []).append(i)
-        while stack:
-            j = stack.pop()
-            for i in radj.get(j, ()):
-                if i not in back:
-                    back.add(i)
-                    stack.append(i)
-
+        bit = 1 << anchor
+        back = _closure(bit, pred, -bit)
+        # One mask of untried successors per state on the path; a state's
+        # candidates are fixed when it is entered, since the path below it
+        # is the same whenever it is resumed.  The anchor is the least
+        # state in ``back``, so closing the cycle comes first.
         path = [anchor]
-        on_path = {anchor}
-
-        def walk(i: int) -> None:
-            for j in adj.get(i, ()):
-                if j == anchor:
-                    cycles.append(tuple(path))
-                elif j > anchor and j in back and j not in on_path:
-                    path.append(j)
-                    on_path.add(j)
-                    walk(j)
-                    path.pop()
-                    on_path.remove(j)
-
-        walk(anchor)
+        on_path = bit
+        pending = [mask & back]
+        while pending:
+            rest = pending[-1]
+            if not rest:
+                pending.pop()
+                on_path ^= 1 << path.pop()
+                continue
+            low = rest & -rest
+            pending[-1] = rest ^ low
+            j = low.bit_length() - 1
+            path.append(j)
+            on_path |= low
+            if ess[j] & bit:
+                cycles.append(tuple(path))
+            pending.append(ess[j] & back & ~on_path)
     cycles.sort()
     return [tuple(sg.states[i] for i in cyc) for cyc in cycles]
 
@@ -271,27 +289,30 @@ def a_walks(protocol: Protocol, max_walks: int = DEFAULT_MAX_WALKS) -> list[Walk
     restricted to useful states (reachable and co-reaching) the state graph
     of a finite protocol is acyclic, so the enumeration terminates.
     """
-    if not is_finite(protocol):
-        raise InfiniteProtocolError("infinite protocol")
     sg = StateGraph(protocol)
-    useful = sg.reachable() & sg.coreachable()
+    ess = sg.essential()
+    if topological_order(ess) is None:
+        raise InfiniteProtocolError("infinite protocol")
     walks: list[Walk] = []
+    # One mask of untried successors per state on the path, below a first
+    # mask of the initial states; a state is recorded when it is entered.
     path: list[int] = []
-
-    def extend(i: int) -> None:
+    pending = [sum(1 << i for i in sg.initial)]
+    while pending:
+        rest = pending[-1]
+        if not rest:
+            pending.pop()
+            del path[-1:]
+            continue
+        low = rest & -rest
+        pending[-1] = rest ^ low
+        i = low.bit_length() - 1
         path.append(i)
-        if i in sg.accepting:
+        pending.append(ess[i])
+        if sg.accepting & low:
             if len(walks) >= max_walks:
                 raise GuardExceededError(f"more than {max_walks} walks")
             walks.append(sg.walk_of(path))
-        for j in sg.out[i]:
-            if j in useful:
-                extend(j)
-        path.pop()
-
-    for i in sg.initial:
-        if i in useful:
-            extend(i)
     return walks
 
 

@@ -124,65 +124,11 @@ def discrepancy(
 # Minimal removal sets
 # ---------------------------------------------------------------------------
 
-def _strongly_connected_components(nodes: Sequence[int], adj: dict[int, list[int]]) -> dict[int, int]:
-    visited: set[int] = set()
-    order: list[int] = []
-    for root in nodes:
-        if root in visited:
-            continue
-        visited.add(root)
-        stack: list[tuple[int, list[int], int]] = [(root, adj.get(root, []), 0)]
-        while stack:
-            v, succs, k = stack[-1]
-            advanced = False
-            while k < len(succs):
-                w = succs[k]
-                k += 1
-                if w not in visited:
-                    visited.add(w)
-                    stack[-1] = (v, succs, k)
-                    stack.append((w, adj.get(w, []), 0))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(v)
-                stack.pop()
-    radj: dict[int, list[int]] = {}
-    for v, succs in adj.items():
-        for w in succs:
-            radj.setdefault(w, []).append(v)
-    comp: dict[int, int] = {}
-    c = 0
-    for v in reversed(order):
-        if v in comp:
-            continue
-        comp[v] = c
-        stack2 = [v]
-        while stack2:
-            u = stack2.pop()
-            for w in radj.get(u, ()):
-                if w not in comp:
-                    comp[w] = c
-                    stack2.append(w)
-        c += 1
-    return comp
-
-
 def circuit_instructions(graph: TwoTerminalGraph) -> list[Instruction]:
     """CFP instructions lying on at least one essential circuit: the
-    essential transitions inside a strongly connected component."""
-    astar = cfp(graph)
-    sg = StateGraph(astar)
-    ess = sg.essential_transitions()
-    adj: dict[int, list[int]] = {}
-    nodes: set[int] = set()
-    for i, j in ess:
-        adj.setdefault(i, []).append(j)
-        nodes.add(i)
-        nodes.add(j)
-    comp = _strongly_connected_components(sorted(nodes), adj)
-    out = [sg.instruction_of(i, j) for i, j in ess if comp[i] == comp[j]]
-    return sorted(out)
+    essential transitions whose end reaches back to their start."""
+    sg = StateGraph(cfp(graph))
+    return sorted(sg.instruction_of(i, j) for i, j in sg.circuit_transitions())
 
 
 def _minimal_removal_family(

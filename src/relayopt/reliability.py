@@ -42,16 +42,11 @@ class WalkAdmission:
 
     def __init__(self, protocol: Protocol):
         sg = StateGraph(protocol)
-        bits = edge_bits(protocol.graph)
-        ebit = [bits[edge_key(u, v)] for u, v in sg.states]
         self.m = protocol.graph.m
-        self.ebit = ebit
+        self.ebit = [1 << e for e in sg.edge]
         self.out = sg.out
         self.initial = sg.initial
-        acc = 0
-        for i in sg.accepting:
-            acc |= 1 << i
-        self.accepting_mask = acc
+        self.accepting_mask = sg.accepting
 
     def test(self, S: int) -> bool:
         ebit = self.ebit

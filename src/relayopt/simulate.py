@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .engine import StateGraph, a_walks, is_finite
+from .engine import StateGraph, a_walks, is_finite, topological_order
 from .errors import GuardExceededError, InfiniteProtocolError
 from .graphs import EdgeProbabilityMap, Protocol, edge_key, require_open_unit
 from .polys import Poly
@@ -91,17 +91,19 @@ def _survival_digits(base, m: int, threshold: int, first: int, stop: int) -> lis
 
 class _StateSweep:
     """The protocol's useful states (reachable from an initial state and
-    co-reaching an accepting one), each with the index of its edge."""
+    co-reaching an accepting one), each with the index of its edge, and
+    their topological order when the protocol is finite."""
 
     def __init__(self, protocol: Protocol):
         sg = StateGraph(protocol)
-        useful = sg.reachable() & sg.coreachable()
-        index = {e: k for k, e in enumerate(protocol.graph.edge_list())}
-        self.edge = [index[edge_key(u, v)] for u, v in sg.states]
-        self.succ = [tuple(j for j in sg.out[i] if j in useful) if i in useful else ()
-                     for i in range(len(sg.states))]
-        self.initial = [i for i in sg.initial if i in useful]
-        self.accepting = [i for i in sorted(sg.accepting) if i in useful]
+        useful = sg.useful()
+        essential = sg.essential()
+        self.edge = sg.edge
+        self.succ = [tuple(j for j in out if mask >> j & 1) for out, mask in zip(sg.out, essential)]
+        self.initial = [i for i in sg.initial if useful >> i & 1]
+        self.accepting = [i for i in range(len(essential)) if (sg.accepting & useful) >> i & 1]
+        order = topological_order(essential)
+        self.order = None if order is None else [i for i in order if useful >> i & 1]
 
     def delivered(self, columns: list[int]) -> int:
         """Bitset of the trials in which some protocol walk survives, given
@@ -133,21 +135,8 @@ class _StateSweep:
         states of a finite protocol form a DAG; counts are filled in
         reverse topological order."""
         succ = self.succ
-        indegree = [0] * len(succ)
-        for js in succ:
-            for j in js:
-                indegree[j] += 1
-        ready = [i for i in self.initial if not indegree[i]]
-        order = []
-        while ready:
-            i = ready.pop()
-            order.append(i)
-            for j in succ[i]:
-                indegree[j] -= 1
-                if not indegree[j]:
-                    ready.append(j)
         accepting = set(self.accepting)
-        plan = [(i, 1 << self.edge[i], int(i in accepting), succ[i]) for i in reversed(order)]
+        plan = [(i, 1 << self.edge[i], int(i in accepting), succ[i]) for i in reversed(self.order)]
         initial = self.initial
 
         @lru_cache(maxsize=_MEMO_MASKS)

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from relayopt import build_breakpoint_graph, build_crossing_pair, realize, rho
+from relayopt import build_breakpoint_graph, build_crossing_pair, cfp, essential_circuits, realize, rho
 from relayopt.cli import main
-from relayopt.graphs import EdgeProbabilityMap, b0, graph_json
+from relayopt.graphs import EdgeProbabilityMap, TwoTerminalGraph, b0, graph_json, protocol_json
 
 
 def run_cli(argv, stdin_text=""):
@@ -294,6 +294,7 @@ def _graph_text(**fields):
 
 DISCONNECTED = _graph_text(edges=[["s", "a"]])
 MISSING = "/nonexistent/relayopt-input.json"
+DEEP_TREE = "<20000-level tree file>"
 
 MALFORMED = {
     "even-breakpoint-order": (["breakpoint-graph", "--orders", "2"], "", "bad-argument", 2),
@@ -308,6 +309,7 @@ MALFORMED = {
     "missing-kelmans-files": (["compose", "--op", "kelmans", "--f2", MISSING, "--g1", MISSING, "--g2", MISSING],
                               _graph_text(), "usage", 1),
     "missing-tree-file": (["expand", "--edge", "s-a", "--with", MISSING], _graph_text(), "usage", 1),
+    "deep-tree-file": (["expand", "--edge", "s-a", "--with", DEEP_TREE], _graph_text(), "bad-format", 2),
     "three-element-edge": (["validate"], _graph_text(edges=[["s", "a", "x"], ["a", "r"]]), "bad-format", 2),
     "one-element-edge": (["validate"], _graph_text(edges=[["s"]]), "bad-format", 2),
     "edges-not-a-list": (["validate"], _graph_text(edges="sa"), "bad-format", 2),
@@ -323,7 +325,11 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("argv, stdin_text, code, status", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_input_is_a_json_error(argv, stdin_text, code, status):
+def test_malformed_input_is_a_json_error(argv, stdin_text, code, status, tmp_path):
+    if DEEP_TREE in argv:
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"op": "series", "left": ' * 20000 + '{"edge": true}' + ', "right": {"edge": true}}' * 20000)
+        argv = [str(deep) if a == DEEP_TREE else a for a in argv]
     got, out, err = run_cli(argv, stdin_text)
     assert (got, out) == (status, "")
     assert err.endswith("\n") and err.count("\n") == 1
@@ -361,6 +367,43 @@ def test_cfp_on_a_long_chain():
         status, out, err = run_cli(argv, text)
         assert status == 0 and not err
     assert len(json.loads(out)["paths"][0]) == n
+
+
+def _chain(n):
+    verts = [f"v{i}" for i in range(n)]
+    return TwoTerminalGraph(verts, [(verts[i], verts[i + 1]) for i in range(n - 1)], verts[0], verts[-1])
+
+
+def test_spfp_reduce_on_a_long_chain(tmp_path):
+    graph = _chain(1200)
+    chain_cfp = json.loads(json.dumps(protocol_json(cfp(graph))))
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps(chain_cfp))
+    status, out, err = run_cli(["spfp-reduce", "--protocol", str(path)], json.dumps(graph_json(graph)))
+    assert status == 0 and not err
+    assert json.loads(out) == chain_cfp
+
+
+def _subdivided_b0(k):
+    """b0 with every edge replaced by a chain of k edges."""
+    base = b0()
+    verts, edges = set(base.vertices), []
+    for u, v in base.edge_list():
+        chain = [u] + [f"{u}.{v}.{t}" for t in range(1, k)] + [v]
+        verts.update(chain)
+        edges += zip(chain, chain[1:])
+    return TwoTerminalGraph(verts, edges, base.s, base.r)
+
+
+def test_witness_on_a_long_circuit():
+    graph = _subdivided_b0(171)
+    assert graph.m == 1710
+    status, out, err = run_cli(["finite", "--witness"], json.dumps(graph_json(graph)))
+    assert status == 0 and not err
+    obj = json.loads(out)
+    witness = tuple(tuple(state) for state in obj["witness"])
+    assert not obj["finite"] and len(witness) == 1026
+    assert essential_circuits(cfp(graph)) == [witness]
 
 
 def _crossing_pair_b0_text():

@@ -85,6 +85,16 @@ def test_path_graph_rho():
         path_graph(1)
 
 
+def test_deep_trees_parse_and_realize():
+    assert realize(path_graph(3000)).m == 2999
+    obj = {"edge": True}
+    for _ in range(2999):
+        obj = {"op": "series", "left": obj, "right": {"edge": True}}
+    tree = parse_sptree(obj)
+    assert tree.edge_count == 3000
+    assert realize(tree).edges == realize(path_graph(3001)).edges
+
+
 def test_sptree_json_round_trip():
     tree = parallel(series(edge(), parallel(path_graph(3), edge())), path_graph(4))
     again = parse_sptree(json.loads(json.dumps(sptree_json(tree))))

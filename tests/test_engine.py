@@ -4,6 +4,7 @@ import pytest
 
 from relayopt import (
     InfiniteProtocolError,
+    Instruction,
     Protocol,
     TwoTerminalGraph,
     a_paths,
@@ -21,7 +22,8 @@ from relayopt import (
     strongly_essential_instructions,
 )
 from relayopt.constructions import parallel, path_graph, realize
-from relayopt.engine import StateGraph
+from relayopt.engine import StateGraph, topological_order
+from relayopt.optimizer import circuit_instructions
 
 from conftest import brute_force_walks, random_connected_graph
 
@@ -321,8 +323,35 @@ def test_sp_directional_protocols_are_acyclic():
         mixed = sorted(set(forward.instructions) | set(backward.instructions))
         chosen = [i for i in mixed if rng.random() < 0.7]
         proto = Protocol(g, chosen)
-        sg = StateGraph(proto)
-        adj = {i: list(js) for i, js in enumerate(sg.out) if js}
-        from relayopt.engine import _has_cycle
+        assert topological_order(StateGraph(proto).succ) is not None
 
-        assert not _has_cycle(adj)
+
+# -- circuit closure against circuit enumeration ----------------------------------
+
+def _cycle_instructions(cycle):
+    return {Instruction(a[0], a[1], b[1]) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+
+
+def test_circuit_transitions_match_enumerated_circuits():
+    """Circuit-borne transitions come from one reachability closure per
+    state, circuits from an explicit-stack enumeration: the instructions on
+    the enumerated circuits must be exactly the circuit-borne ones, and a
+    protocol is finite exactly when it has no circuit."""
+    rng = random.Random(2024)
+    infinite = 0
+    for _ in range(40):
+        g = random_connected_graph(rng, 6, 18)
+        astar = cfp(g)
+        ins = sorted(astar.instructions)
+        protocols = [astar] + [astar.minus(rng.sample(ins, rng.randint(0, len(ins) // 3))) for _ in range(3)]
+        for proto in protocols:
+            circuits = essential_circuits(proto)
+            on_circuits = set().union(*map(_cycle_instructions, circuits))
+            sg = StateGraph(proto)
+            assert {sg.instruction_of(i, j) for i, j in sg.circuit_transitions()} == on_circuits
+            if proto is astar:
+                assert circuit_instructions(g) == sorted(on_circuits)
+            assert is_finite(proto) == (not circuits)
+            infinite += bool(circuits)
+    # the draw must exercise both answers
+    assert 40 <= infinite <= 120
