@@ -9,6 +9,8 @@ exceeded.  Errors are reported as JSON on standard error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -29,7 +31,7 @@ from .graphs import (
 from .optimizer import PiecewiseReliability
 from .polys import Poly, parse_rational
 from .roots import AlgebraicNumber
-from .simulate import simulate as run_trials
+from .simulate import SEED_MAX, SEED_MIN, simulate as run_trials
 
 OUTPUT_WIDTH = Fraction(1, 1 << 20)
 
@@ -130,13 +132,18 @@ def _max_edges(raw: str) -> int:
         value = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
     if value > reliability.MAX_SCAN_EDGES_CEILING:
         raise argparse.ArgumentTypeError(
             f"{value} exceeds the ceiling of {reliability.MAX_SCAN_EDGES_CEILING} edges")
     return value
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process; ``parse_args`` leaves it unchanged,
+    so every ``main`` call shares it."""
     parser = _Parser(prog="relayopt", description=__doc__)
     parser.add_argument("--max-edges", type=_max_edges, default=reliability.MAX_SCAN_EDGES,
                         help=f"guard on exhaustive subset scans, at most {reliability.MAX_SCAN_EDGES_CEILING}")
@@ -317,6 +324,8 @@ def _run(args, stdin, stdout) -> None:
     elif cmd == "simulate":
         if args.trials < 1:
             raise _UsageError("--trials must be at least 1")
+        if not SEED_MIN <= args.seed <= SEED_MAX:
+            raise _UsageError("--seed must fit in a signed 64-bit integer")
         protocol = _load_protocol(args.protocol, graph)
         report = run_trials(protocol, parse_rational(args.p), args.trials, args.seed, count_copies=args.copies)
         emit(report.to_json())
@@ -334,9 +343,12 @@ def main(argv: list[str] | None = None, stdin=None, stdout=None, stderr=None) ->
         return status
 
     try:
-        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(stdout):  # where --help writes
+            args = build_parser().parse_args(argv)
     except _UsageError as exc:
         return fail("usage", str(exc), 1)
+    except SystemExit as exc:  # --help, after writing the help
+        return exc.code
     try:
         _run(args, stdin, stdout)
     except _UsageError as exc:

@@ -46,14 +46,17 @@ class SPTree:
     """Construction tree: a single edge, or a series/parallel join.
 
     Trees share subtrees, so a tree of n nodes can realize exponentially
-    many edges; the edge count and the terminal-edge flag are computed
-    once per node, from the children's, when the node is built."""
+    many edges; the edge count, the terminal-edge flag and the hash are
+    computed once per node, from the children's, when the node is built,
+    and equality walks node pairs with an explicit stack, so neither
+    recurses once per level."""
 
     kind: str
     left: SPTree | None = None
     right: SPTree | None = None
     edge_count: int = field(init=False, repr=False, compare=False)
     _terminal_edge: bool = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "edge":
@@ -63,6 +66,25 @@ class SPTree:
             terminal = self.kind == "parallel" and (self.left._terminal_edge or self.right._terminal_edge)
         object.__setattr__(self, "edge_count", count)
         object.__setattr__(self, "_terminal_edge", terminal)
+        object.__setattr__(self, "_hash", hash((self.kind, self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SPTree):
+            return NotImplemented
+        stack = [(self, other)]
+        seen = set()  # node pairs already matched, so shared subtrees are compared once
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if a is None or b is None or a._hash != b._hash or a.kind != b.kind:
+                return False
+            seen.add((id(a), id(b)))
+            stack += [(a.right, b.right), (a.left, b.left)]
+        return True
 
     def has_terminal_edge(self) -> bool:
         """Does the realization contain an edge joining s and r directly?"""
@@ -135,27 +157,36 @@ def as_graph(obj) -> TwoTerminalGraph:
 def sp_level_injection(tree: SPTree) -> dict[str, Fraction]:
     """Injective vertex levels strictly increasing along every s,r-path of
     the realization: series splits its band at the join vertex, parallel
-    hands each side a disjoint open sub-band."""
+    hands each side a disjoint open sub-band.  Join vertices are numbered
+    in pre-order, as ``realize`` numbers them."""
     counter = itertools.count(1)
     levels: dict[str, Fraction] = {"s": Fraction(0), "r": Fraction(1)}
-
-    def build(t: SPTree, lo: Fraction, hi: Fraction) -> None:
+    stack = [(tree, Fraction(0), Fraction(1))]
+    while stack:
+        t, lo, hi = stack.pop()
         if t.kind == "edge":
-            return
+            continue
         mid = (lo + hi) / 2
         if t.kind == "series":
             levels[f"x{next(counter)}"] = mid
-        build(t.left, lo, mid)
-        build(t.right, mid, hi)
-
-    build(tree, Fraction(0), Fraction(1))
+        stack.append((t.right, mid, hi))
+        stack.append((t.left, lo, mid))
     return levels
 
 
 def sptree_json(tree: SPTree):
-    if tree.kind == "edge":
-        return {"edge": True}
-    return {"op": tree.kind, "left": sptree_json(tree.left), "right": sptree_json(tree.right)}
+    """JSON object of the tree, each node filled in pre-order from an
+    explicit stack."""
+    root: dict = {}
+    stack = [(tree, root)]
+    while stack:
+        t, obj = stack.pop()
+        if t.kind == "edge":
+            obj["edge"] = True
+        else:
+            obj.update(op=t.kind, left={}, right={})
+            stack += [(t.right, obj["right"]), (t.left, obj["left"])]
+    return root
 
 
 def parse_sptree(obj) -> SPTree:

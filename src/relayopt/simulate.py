@@ -34,6 +34,7 @@ _SCALE = 1 << (8 * _CHUNK)
 _PER_DIGEST = 64 // _CHUNK  # edges per digest
 _MEMO_MASKS = 1 << 16  # walk counts kept for copy counting
 _binary = partial(int, base=2)
+SEED_MIN, SEED_MAX = -(1 << 63), (1 << 63) - 1  # seeds key BLAKE2b as 8 signed bytes
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,8 @@ def simulate(
     require_open_unit(p0)
     if trials < 1:
         raise ValueError("the number of trials must be at least 1")
+    if not SEED_MIN <= seed <= SEED_MAX:
+        raise ValueError("the seed must fit in a signed 64-bit integer")
     if count_copies and not is_finite(protocol):
         raise InfiniteProtocolError("copy counting needs a finite protocol")
     m = protocol.graph.m

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from relayopt import build_breakpoint_graph, build_crossing_pair, cfp, essential_circuits, realize, rho
-from relayopt.cli import main
+from relayopt.cli import build_parser, main
 from relayopt.graphs import EdgeProbabilityMap, TwoTerminalGraph, b0, graph_json, protocol_json
 
 
@@ -321,6 +322,11 @@ MALFORMED = {
     "max-edges-over-ceiling": (["--max-edges", "1000", "rho-hat", "--at", "1/2"], _graph_text(), "usage", 1),
     "max-edges-just-over-ceiling": (["--max-edges", "29", "reliability"], _graph_text(), "usage", 1),
     "max-edges-not-an-integer": (["--max-edges", "many", "cfp"], _graph_text(), "usage", 1),
+    "max-edges-negative": (["--max-edges", "-3", "reliability"], _graph_text(), "usage", 1),
+    "seed-beyond-64-bits": (["simulate", "--p", "1/2", "--trials", "5", "--seed", str(1 << 70)],
+                            _graph_text(), "usage", 1),
+    "seed-below-64-bits": (["simulate", "--p", "1/2", "--trials", "5", "--seed", str(-(1 << 63) - 1)],
+                           _graph_text(), "usage", 1),
 }
 
 
@@ -432,3 +438,49 @@ def test_breakpoint_outputs_golden(source, argv):
     status, out, err = run_cli(list(argv), text)
     assert status == 0 and not err
     assert hashlib.sha256(out.encode()).hexdigest() == TRANSPORT_GOLDEN[argv]
+
+
+# -- one parser per process ---------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [["--help"], ["reliability", "-h"]], ids=" ".join)
+def test_help_goes_to_the_given_stdout(argv, capsys):
+    status, out, err = run_cli(argv)
+    assert (status, err) == (0, "")
+    assert out.startswith("usage: relayopt")
+    assert capsys.readouterr() == ("", "")
+
+
+INTERLEAVED = [
+    ["reliability", "--prime"],
+    ["reliability", "--at", "1/2"],
+    ["reliability"],
+    ["--max-edges", "-3", "reliability"],
+    ["simulate", "--p", "1/3", "--trials", "700", "--seed", "4"],
+    ["rho-hat", "--piecewise"],
+]
+
+
+def test_interleaved_calls_match_lone_runs():
+    alone = []
+    for argv in INTERLEAVED:
+        build_parser.cache_clear()
+        alone.append(run_cli(argv, b0_text()))
+    parser = build_parser()
+    for _ in range(2):
+        for argv, expected in zip(INTERLEAVED, alone):
+            assert run_cli(argv, b0_text()) == expected
+    assert build_parser() is parser
+    assert [status for status, _, _ in alone] == [0, 0, 0, 1, 0, 0]
+    assert json.loads(alone[1][1]) == {"value": "367/1024"} and "value" not in alone[2][1]
+
+
+def test_repeated_call_leaves_no_cyclic_garbage():
+    text = b0_text()
+    run_cli(["reliability"], text)
+    gc.collect()
+    gc.disable()
+    try:
+        status, _, _ = run_cli(["reliability"], text)
+        assert status == 0 and gc.collect() == 0
+    finally:
+        gc.enable()

@@ -95,6 +95,26 @@ def test_deep_trees_parse_and_realize():
     assert realize(tree).edges == realize(path_graph(3001)).edges
 
 
+def test_deep_tree_hashes_compares_and_serialises():
+    tree, copy = path_graph(3000), path_graph(3000)
+    assert tree is not copy and hash(tree) == hash(copy) and tree == copy
+    assert tree != path_graph(2999) and tree != series(edge(), path_graph(2999))
+    assert parse_sptree(sptree_json(tree)) == tree
+    levels = sp_level_injection(tree)
+    (chain,) = enumerate_sr_paths(realize(tree))
+    assert len(chain) == 3000
+    vals = [levels[v] for v in chain]
+    assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def test_equality_compares_shared_subtrees_once():
+    # about 4 * 10^9 edges when unfolded, in two separately built trees
+    first, _ = build_crossing_pair((30,), max_edges=1 << 64)
+    again, _ = build_crossing_pair((30,), max_edges=1 << 64)
+    assert first is not again and first == again
+    assert first != build_crossing_pair((29,), max_edges=1 << 64)[0]
+
+
 def test_sptree_json_round_trip():
     tree = parallel(series(edge(), parallel(path_graph(3), edge())), path_graph(4))
     again = parse_sptree(json.loads(json.dumps(sptree_json(tree))))

@@ -112,6 +112,17 @@ def test_trials_below_one_rejected(trials):
         simulate(cfp(single_edge()), HALF, trials, seed=0)
 
 
+@pytest.mark.parametrize("seed", [1 << 63, -(1 << 63) - 1, 1 << 70])
+def test_seed_outside_64_bits_rejected(seed):
+    with pytest.raises(ValueError):
+        simulate(cfp(single_edge()), HALF, 10, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [(1 << 63) - 1, -(1 << 63)])
+def test_seed_at_64_bit_bounds_accepted(seed):
+    assert simulate(cfp(single_edge()), HALF, 10, seed=seed).trials == 10
+
+
 # The m=17 graph of the benchmark's simulate corpus: two digests per trial.
 M17_GRAPH = TwoTerminalGraph(
     ["s", "v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "r"],
