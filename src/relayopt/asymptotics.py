@@ -102,12 +102,9 @@ def robustness(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> int:
         raise InfiniteProtocolError("infinite protocol")
     graph = protocol.graph
     m = graph.m
-    connected = connectivity_table(graph, max_edges)
-    admits = admits_table(protocol, max_edges)
-    worst = m + 1
-    for S in range(1 << m):
-        if connected[S] and not admits[S]:
-            failed = m - S.bit_count()
-            if failed < worst:
-                worst = failed
-    return m if worst > m else worst - 1
+    missed = connectivity_table(graph, max_edges) & ~admits_table(protocol, max_edges)
+    if not missed:
+        return m
+    # the fewest failures that leave s,r connected but admit no walk
+    largest = max(i for i, count in enumerate(spectrum_from_table(m, missed)) if count)
+    return m - largest - 1

@@ -86,9 +86,41 @@ class SPTree:
             stack += [(a.right, b.right), (a.left, b.left)]
         return True
 
+    def __repr__(self) -> str:
+        return f"SPTree({self.kind!r}, edge_count={self.edge_count})"
+
+    def __reduce__(self):
+        """Pickle and copy as a flat node list, children before parents and
+        each shared subtree once, so that neither recurses per level."""
+        nodes: list[tuple[str, int | None, int | None]] = []
+        position: dict[int, int] = {}  # by id: every node is alive under self
+        stack = [self]
+        while stack:
+            t = stack[-1]
+            if id(t) in position:
+                stack.pop()
+                continue
+            children = [c for c in (t.right, t.left) if c is not None and id(c) not in position]
+            if children:
+                stack += children
+                continue
+            stack.pop()
+            position[id(t)] = len(nodes)
+            left, right = (None if c is None else position[id(c)] for c in (t.left, t.right))
+            nodes.append((t.kind, left, right))
+        return _sptree_from_nodes, (nodes,)
+
     def has_terminal_edge(self) -> bool:
         """Does the realization contain an edge joining s and r directly?"""
         return self._terminal_edge
+
+
+def _sptree_from_nodes(nodes: list[tuple[str, int | None, int | None]]) -> SPTree:
+    """Inverse of ``SPTree.__reduce__``."""
+    built: list[SPTree] = []
+    for kind, left, right in nodes:
+        built.append(SPTree(kind, None if left is None else built[left], None if right is None else built[right]))
+    return built[-1]
 
 
 def edge() -> SPTree:

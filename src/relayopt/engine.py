@@ -110,6 +110,45 @@ def _predecessors(adjacency: Sequence[int]) -> list[int]:
     return pred
 
 
+def _sweep(
+    succ: Sequence[Sequence[int]],
+    col: Sequence[int],
+    initial: Sequence[int],
+    accepting: Sequence[int],
+) -> int:
+    """Bit-sliced reachability: bit t of ``col[i]`` says node i is usable
+    in world t (a sampled trial, or an edge subset).  Runs
+    ``reach[j] |= reach[i] & col[j]`` along every arc i -> j of ``succ`` to
+    its fixpoint, from ``reach[i] = col[i]`` at the initial nodes, and
+    returns the worlds in which some accepting node is reached.
+
+    Nodes wait first in, first out, each at most once at a time: on the
+    grid graphs this takes several times fewer updates than a stack."""
+    reach = [0] * len(col)
+    queue = []
+    queued = [False] * len(col)
+    for i in initial:
+        if col[i] and not queued[i]:
+            reach[i] = col[i]
+            queue.append(i)
+            queued[i] = True
+    # the list grows while it is read, so it serves as the queue
+    for i in queue:
+        queued[i] = False
+        ri = reach[i]
+        for j in succ[i]:
+            grown = reach[j] | ri & col[j]
+            if grown != reach[j]:
+                reach[j] = grown
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
+    got = 0
+    for i in accepting:
+        got |= reach[i]
+    return got
+
+
 def topological_order(adjacency: Sequence[int]) -> list[int] | None:
     """Every state, each before its successors in ``adjacency`` (one
     successor bitmask per state), or None when the masks contain a cycle."""

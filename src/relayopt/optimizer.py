@@ -36,9 +36,9 @@ from .graphs import (
 from .polys import Poly, poly_gcd
 from .reliability import (
     MAX_SCAN_EDGES,
+    _superset_table,
     admits_table,
     edge_masks,
-    monotone_table,
     polynomial_from_counts,
     polynomial_from_table,
     rho,
@@ -79,7 +79,7 @@ class DiscrepancyReport:
 def _removal_event_polynomial(
     graph: TwoTerminalGraph,
     removed: RemovalSet,
-    reduced_table: bytearray,
+    reduced_table: int,
     probmap: EdgeProbabilityMap | None,
 ) -> Poly:
     """Probability that some s,r-path using a removed instruction survives
@@ -88,9 +88,8 @@ def _removal_event_polynomial(
     reduced protocol, so this is exactly the reliability the removal loses."""
     used = edge_masks(graph, (p for p in enumerate_sr_paths(graph)
                               if any(i in removed for i in instructions_in(p))))
-    used_table = monotone_table(graph.m, set(used).__contains__)
-    event = bytearray(1 if u and not r else 0 for u, r in zip(used_table, reduced_table))
-    return polynomial_from_table(graph, probmap, event)
+    used_table = _superset_table(graph.m, used)
+    return polynomial_from_table(graph, probmap, used_table & ~reduced_table)
 
 
 def discrepancy(

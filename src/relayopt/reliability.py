@@ -1,28 +1,49 @@
-"""Exact reliability polynomials via exhaustive edge-subset scans.
+"""Exact reliability polynomials via tables over all 2^m edge subsets.
 
-The primary method enumerates all 2^m spanning edge subsets (guarded by
-``max_edges``), tests each for admitting a protocol walk, and assembles the
-survival probability as an exact polynomial.  Admission is monotone in the
-subset, which the table construction exploits: a subset admits whenever one
-of its one-smaller subsets does, so the state-graph search only runs on
-lattice-minimal candidates and on non-admitting sets.
+Every exact answer is a sum over the 2^m edge subsets (guarded by
+``max_edges``).  A table is an int with bit S set iff subset S is
+admitted, where bit e of S stands for the e-th edge in canonical order.
+Tables are built bit-sliced, from the edge columns: column e has bit S set
+iff edge e is in S, so one int operation decides all subsets at once.
+
+- Connectivity: the sweep ``reach[j] |= reach[i] & col[j]`` (the one the
+  Monte Carlo sampler runs on 512-trial columns) over the undirected
+  graph's vertex-edge incidence graph, in which a vertex passes every
+  subset on and an edge only the subsets that contain it.
+- Paths: the OR, over the protocol's path edge sets, of the AND of each
+  set's columns.
+- Walks: admission is monotone in the subset, so ``monotone_table`` runs a
+  state-graph search only on lattice-minimal candidates and on
+  non-admitting sets, one subset at a time; its byte per subset is packed
+  into the int table once.
+
+Counts come from popcounts: the table ANDed with weight-layer masks gives
+the admitted subsets of each size, and overridden edges are first moved
+to the top index bits so that each override pattern is one contiguous
+block of the table.  The polynomial is assembled from those counts.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .engine import StateGraph, a_paths, cfp
+from .engine import StateGraph, _bits, _sweep, a_paths, cfp
 from .errors import GuardExceededError
 from .graphs import Edge, EdgeProbabilityMap, Protocol, TwoTerminalGraph, edge_key
 from .polys import Poly
 
 MAX_SCAN_EDGES = 24
-# The largest subset-scan guard a caller may ask for: a 2^28-entry
-# admission table takes 256 MiB.
-MAX_SCAN_EDGES_CEILING = 28
+# The largest subset-scan guard a caller may ask for.  A table or column
+# over 2^m subsets takes 2^m/8 bytes, and the connectivity sweep keeps
+# about 3m of them live (the edge columns, and a reach set per vertex and
+# per edge): on a tree with m + 1 vertices its peak RSS rose 168 MiB at
+# m = 24 and 345 MiB at m = 25, past the 256 MiB this ceiling allows.
+MAX_SCAN_EDGES_CEILING = 24
 MAX_SPECIAL_EDGES = 16
 MAX_IE_PATHS = 20
+_LEAF_BITS = 12  # subsets counted per leaf: 2^12 table bits, 512 bytes
+_PACK_BYTES = 1 << 16  # walk-table flags packed at a time
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _check_scan_guard(m: int, max_edges: int) -> None:
@@ -33,6 +54,23 @@ def _check_scan_guard(m: int, max_edges: int) -> None:
 def edge_bits(graph: TwoTerminalGraph) -> dict[Edge, int]:
     """Bit position of each edge in canonical order."""
     return {e: 1 << i for i, e in enumerate(graph.edge_list())}
+
+
+def _full(m: int) -> int:
+    """The table of all 2^m subsets."""
+    return (1 << (1 << m)) - 1
+
+
+def _column(m: int, e: int) -> int:
+    """Column e over 2^m subsets: bit S set iff bit e of S is.  Built from
+    its byte pattern: alternating runs of 2^e zeros and 2^e ones."""
+    if e < 3:
+        unit = (b"\xaa", b"\xcc", b"\xf0")[e]
+    else:
+        half = 1 << (e - 3)
+        unit = bytes(half) + b"\xff" * half
+    column = int.from_bytes(unit * max(1, (1 << m) // (8 * len(unit))), "little")
+    return column if m >= 3 else column & _full(m)
 
 
 class WalkAdmission:
@@ -93,9 +131,22 @@ def monotone_table(m: int, test: Callable[[int], bool]) -> bytearray:
     return table
 
 
-def admits_table(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> bytearray:
+def _packed(flags: bytearray) -> int:
+    """The table whose bit S is ``flags[S]`` (0 or 1), packed
+    ``_PACK_BYTES`` flags at a time: each run is read as binary digits,
+    most significant (the last subset) first."""
+    parts = []
+    for at in range(0, len(flags), _PACK_BYTES):
+        digits = flags[at:at + _PACK_BYTES].translate(_DIGITS)
+        digits.reverse()
+        parts.append(int(digits, 2).to_bytes((len(digits) + 7) // 8, "little"))
+    return int.from_bytes(b"".join(parts), "little")
+
+
+def admits_table(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> int:
+    """Indicator of subsets admitting a protocol walk."""
     _check_scan_guard(protocol.graph.m, max_edges)
-    return monotone_table(protocol.graph.m, WalkAdmission(protocol).test)
+    return _packed(monotone_table(protocol.graph.m, WalkAdmission(protocol).test))
 
 
 def subset_admits_walk(protocol: Protocol, subset: Iterable[tuple[str, str]]) -> bool:
@@ -124,58 +175,86 @@ def path_masks(protocol: Protocol) -> list[int]:
     return edge_masks(protocol.graph, a_paths(protocol))
 
 
-def path_table(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> bytearray:
+def _superset_table(m: int, masks: Iterable[int]) -> int:
+    """Indicator of subsets containing one of the edge masks: the OR, over
+    the masks, of the AND of each mask's columns."""
+    columns = [_column(m, e) for e in range(m)]
+    full = _full(m)
+    table = 0
+    for mask in masks:
+        up = full
+        for e in _bits(mask):
+            up &= columns[e]
+        table |= up
+    return table
+
+
+def path_table(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> int:
     """Indicator of subsets containing the edge set of some protocol path."""
     _check_scan_guard(protocol.graph.m, max_edges)
-    mask_set = set(path_masks(protocol))
-    return monotone_table(protocol.graph.m, lambda S: S in mask_set)
+    return _superset_table(protocol.graph.m, path_masks(protocol))
 
 
-class _Connectivity:
-    __slots__ = ("adj", "s_idx", "r_idx", "n")
-
-    def __init__(self, graph: TwoTerminalGraph):
-        order = sorted(graph.vertices)
-        idx = {v: i for i, v in enumerate(order)}
-        bits = edge_bits(graph)
-        adj: list[list[tuple[int, int]]] = [[] for _ in order]
-        for e in graph.edge_list():
-            u, v = e
-            b = bits[e]
-            adj[idx[u]].append((idx[v], b))
-            adj[idx[v]].append((idx[u], b))
-        self.adj = adj
-        self.s_idx = idx[graph.s]
-        self.r_idx = idx[graph.r]
-        self.n = len(order)
-
-    def test(self, S: int) -> bool:
-        target = self.r_idx
-        seen = 1 << self.s_idx
-        stack = [self.s_idx]
-        while stack:
-            i = stack.pop()
-            for j, b in self.adj[i]:
-                if b & S and not seen >> j & 1:
-                    if j == target:
-                        return True
-                    seen |= 1 << j
-                    stack.append(j)
-        return False
-
-
-def connectivity_table(graph: TwoTerminalGraph, max_edges: int = MAX_SCAN_EDGES) -> bytearray:
+def connectivity_table(graph: TwoTerminalGraph, max_edges: int = MAX_SCAN_EDGES) -> int:
     """Indicator of subsets keeping s and r in one component."""
-    _check_scan_guard(graph.m, max_edges)
-    return monotone_table(graph.m, _Connectivity(graph).test)
+    m = graph.m
+    _check_scan_guard(m, max_edges)
+    order = sorted(graph.vertices)
+    index = {v: i for i, v in enumerate(order)}
+    n = len(order)
+    # nodes 0..n-1 are the vertices, n + e is the e-th edge
+    succ: list[Sequence[int]] = [[] for _ in order]
+    for e, (u, v) in enumerate(graph.edge_list()):
+        succ[index[u]].append(n + e)
+        succ[index[v]].append(n + e)
+        succ.append((index[u], index[v]))
+    col = [_full(m)] * n + [_column(m, e) for e in range(m)]
+    return _sweep(succ, col, [index[graph.s]], [index[graph.r]])
 
 
-def spectrum_from_table(m: int, table: bytearray) -> tuple[int, ...]:
-    counts = [0] * (m + 1)
-    for S in range(1 << m):
-        if table[S]:
-            counts[S.bit_count()] += 1
-    return tuple(counts)
+def _layers(n: int) -> list[int]:
+    """Weight-layer masks over 2^n subsets: bit S of ``layers[i]`` is set
+    iff S has i bits set."""
+    layers = [1]
+    for k in range(n):
+        shift = 1 << k
+        layers = [(layers[i] if i <= k else 0) | (layers[i - 1] << shift if i else 0) for i in range(k + 2)]
+    return layers
+
+
+def _block_counts(table: int, n: int, k: int) -> list[list[int]]:
+    """counts[q][i]: subsets of the table (over n + k index bits) whose top
+    k index bits read q and whose low n index bits hold i ones.
+
+    The table is cut into leaves of 2^L bits, L = min(n, _LEAF_BITS); the
+    index bits above a leaf's own are fixed within it, so each leaf adds
+    the popcounts of its ANDs with the L-bit weight layers, shifted by the
+    weight of its fixed low-part bits."""
+    leaf = min(n, _LEAF_BITS)
+    layers = _layers(leaf)
+    data = table.to_bytes(max(1, (1 << (n + k)) >> 3), "little")
+    if leaf >= 3:
+        size = 1 << (leaf - 3)
+        leaves = (int.from_bytes(data[at:at + size], "little") for at in range(0, len(data), size))
+    else:  # several leaves per byte
+        width = 1 << leaf
+        low = (1 << width) - 1
+        leaves = (data[at >> 3] >> (at & 7) & low for at in range(0, 1 << (n + k), width))
+    high = n - leaf
+    fixed = (1 << high) - 1
+    counts = [[0] * (n + 1) for _ in range(1 << k)]
+    for q, value in enumerate(leaves):
+        if value:
+            row = counts[q >> high]
+            base = (q & fixed).bit_count()
+            for i, layer in enumerate(layers):
+                row[base + i] += (value & layer).bit_count()
+    return counts
+
+
+def spectrum_from_table(m: int, table: int) -> tuple[int, ...]:
+    """a_i = number of i-edge subsets in the table."""
+    return tuple(_block_counts(table, m, 0)[0])
 
 
 def walk_spectrum(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> tuple[int, ...]:
@@ -212,10 +291,21 @@ def _edge_polynomials(
     return wpolys, [i for i, w in enumerate(wpolys) if w != x]
 
 
+def _swap_index_bits(m: int, table: int, a: int, b: int) -> int:
+    """The table over 2^m subsets with index bits a < b exchanged: one
+    masked delta swap between each subset holding a but not b and the
+    subset holding b but not a."""
+    column = _column(m, a)
+    mask = column ^ (column & _column(m, b))
+    shift = (1 << b) - (1 << a)
+    t = (table ^ table >> shift) & mask
+    return table ^ t ^ t << shift
+
+
 def subset_counts(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None,
-    table: bytearray,
+    table: int,
 ) -> list[list[int]]:
     """counts[pattern][i]: admitted subsets whose overridden edges are
     exactly those of ``pattern`` (bit k for the k-th overridden edge in
@@ -226,26 +316,15 @@ def subset_counts(
     if len(spos) > MAX_SPECIAL_EDGES:
         raise GuardExceededError(f"{len(spos)} overridden edges exceeds {MAX_SPECIAL_EDGES}")
     m = graph.m
-    plain_mask = 0
-    for i in range(m):
-        if i not in spos:
-            plain_mask |= 1 << i
     n_plain = m - len(spos)
-
-    counts = [[0] * (n_plain + 1) for _ in range(1 << len(spos))]
-    if not spos:
-        row = counts[0]
-        for S in range(1 << m):
-            if table[S]:
-                row[(S & plain_mask).bit_count()] += 1
-    else:
-        for S in range(1 << m):
-            if table[S]:
-                pat = 0
-                for k, pos in enumerate(spos):
-                    pat |= (S >> pos & 1) << k
-                counts[pat][(S & plain_mask).bit_count()] += 1
-    return counts
+    # Move the k-th overridden edge to index bit n_plain + k, so that each
+    # pattern is one contiguous block of 2^n_plain subsets.  Going from the
+    # last, each swap trades an overridden edge for a plain one above it
+    # (spos[k] <= n_plain + k), and the edges still to move stay put.
+    for k in reversed(range(len(spos))):
+        if spos[k] != n_plain + k:
+            table = _swap_index_bits(m, table, spos[k], n_plain + k)
+    return _block_counts(table, n_plain, len(spos))
 
 
 def polynomial_from_counts(
@@ -278,7 +357,7 @@ def polynomial_from_counts(
 def polynomial_from_table(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None,
-    table: bytearray,
+    table: int,
 ) -> Poly:
     """Sum, over admitted subsets S, of prod_{e in S} w_e * prod_{e not in S}
     (1 - w_e): the subset counts of the table, assembled."""
@@ -319,7 +398,8 @@ def rho_by_connectivity(
     probmap: EdgeProbabilityMap | None = None,
     max_edges: int = MAX_SCAN_EDGES,
 ) -> Poly:
-    """Independent cross-check: per-subset s,r-connectivity."""
+    """Independent cross-check: s,r-connectivity of each subset, from the
+    graph alone (no protocol or state graph)."""
     table = connectivity_table(graph, max_edges)
     return polynomial_from_table(graph, probmap, table)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .engine import StateGraph, a_walks, is_finite, topological_order
+from .engine import StateGraph, _sweep, a_walks, is_finite, topological_order
 from .errors import GuardExceededError, InfiniteProtocolError
 from .graphs import EdgeProbabilityMap, Protocol, edge_key, require_open_unit
 from .polys import Poly
@@ -109,26 +109,7 @@ class _StateSweep:
     def delivered(self, columns: list[int]) -> int:
         """Bitset of the trials in which some protocol walk survives, given
         each edge's survival column."""
-        col = [columns[e] for e in self.edge]
-        succ = self.succ
-        reach = [0] * len(col)
-        stack = []
-        for i in self.initial:
-            if col[i]:
-                reach[i] = col[i]
-                stack.append(i)
-        while stack:
-            i = stack.pop()
-            ri = reach[i]
-            for j in succ[i]:
-                new = ri & col[j] & ~reach[j]
-                if new:
-                    reach[j] |= new
-                    stack.append(j)
-        got = 0
-        for i in self.accepting:
-            got |= reach[i]
-        return got
+        return _sweep(self.succ, [columns[e] for e in self.edge], self.initial, self.accepting)
 
     def walk_counter(self):
         """A function from an edge mask to its number of surviving walks,

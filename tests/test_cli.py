@@ -320,7 +320,7 @@ MALFORMED = {
     "removed-threads-flag": (["--threads", "2", "cfp"], _graph_text(), "usage", 1),
     "removed-quiet-flag": (["--quiet", "cfp"], _graph_text(), "usage", 1),
     "max-edges-over-ceiling": (["--max-edges", "1000", "rho-hat", "--at", "1/2"], _graph_text(), "usage", 1),
-    "max-edges-just-over-ceiling": (["--max-edges", "29", "reliability"], _graph_text(), "usage", 1),
+    "max-edges-just-over-ceiling": (["--max-edges", "25", "reliability"], _graph_text(), "usage", 1),
     "max-edges-not-an-integer": (["--max-edges", "many", "cfp"], _graph_text(), "usage", 1),
     "max-edges-negative": (["--max-edges", "-3", "reliability"], _graph_text(), "usage", 1),
     "seed-beyond-64-bits": (["simulate", "--p", "1/2", "--trials", "5", "--seed", str(1 << 70)],

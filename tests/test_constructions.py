@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -113,6 +115,24 @@ def test_equality_compares_shared_subtrees_once():
     again, _ = build_crossing_pair((30,), max_edges=1 << 64)
     assert first is not again and first == again
     assert first != build_crossing_pair((29,), max_edges=1 << 64)[0]
+
+
+def test_deep_tree_copies_pickles_and_prints():
+    tree = path_graph(3000)
+    assert repr(tree) == "SPTree('series', edge_count=2999)"
+    for again in (copy.deepcopy(tree), copy.copy(tree), pickle.loads(pickle.dumps(tree))):
+        assert again is not tree and again == tree and again.edge_count == 2999
+
+
+def test_copies_keep_shared_subtrees_shared():
+    pair = series(edge(), edge())
+    tree = parallel(series(pair, pair), path_graph(3))
+    for again in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert again == tree and again.left.left is again.left.right
+    # about 4 * 10^9 edges when unfolded: only shared nodes make this small
+    big, _ = build_crossing_pair((30,), max_edges=1 << 64)
+    data = pickle.dumps(big)
+    assert len(data) < 10_000 and pickle.loads(data) == big
 
 
 def test_sptree_json_round_trip():

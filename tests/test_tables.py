@@ -1,0 +1,187 @@
+"""Randomized differential tests of the bit-sliced subset tables against
+per-subset oracles kept here: a breadth-first search per subset for
+connectivity, ``subset_admits_walk`` per subset for walks, a containment
+test per subset for paths, and the counting loops the tables replaced."""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from relayopt import (
+    EdgeProbabilityMap,
+    Protocol,
+    TwoTerminalGraph,
+    a_paths,
+    cfp,
+    is_finite,
+    subset_admits_walk,
+)
+from relayopt.asymptotics import robustness
+from relayopt.graphs import all_instructions, edge_key
+from relayopt.polys import Poly
+from relayopt.reliability import (
+    MAX_SPECIAL_EDGES,
+    admits_table,
+    connectivity_table,
+    path_table,
+    spectrum_from_table,
+    subset_counts,
+)
+
+
+def random_graph(rng: random.Random, m: int) -> TwoTerminalGraph:
+    """A simple graph on s, r and a few more vertices with exactly m edges,
+    s and r not necessarily connected."""
+    n = 2
+    while n * (n - 1) // 2 < m:
+        n += 1
+    n += rng.randint(0, 2)
+    verts = ["s", "r"] + [f"v{i}" for i in range(n - 2)]
+    pairs = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]]
+    return TwoTerminalGraph(verts, rng.sample(pairs, m), "s", "r")
+
+
+def random_protocols(rng: random.Random, graph: TwoTerminalGraph) -> list[Protocol]:
+    """The CFP, a random part of it, and a random set of legal instructions
+    (often infinite, and often with walks the CFP does not have)."""
+    full = sorted(cfp(graph).instructions)
+    legal = all_instructions(graph)
+    return [
+        cfp(graph),
+        Protocol(graph, [i for i in full if rng.random() < 0.6]),
+        Protocol(graph, [i for i in legal if rng.random() < 0.7]),
+    ]
+
+
+def subset_edges(graph: TwoTerminalGraph, S: int) -> list[tuple[str, str]]:
+    return [e for i, e in enumerate(graph.edge_list()) if S >> i & 1]
+
+
+def connected_oracle(graph: TwoTerminalGraph, S: int) -> bool:
+    adj: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    for u, v in subset_edges(graph, S):
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, frontier = {graph.s}, [graph.s]
+    while frontier:
+        frontier = [w for u in frontier for w in adj[u] if w not in seen and not seen.add(w)]
+    return graph.r in seen
+
+
+def path_oracle_masks(protocol: Protocol) -> list[int]:
+    index = {e: i for i, e in enumerate(protocol.graph.edge_list())}
+    return [sum({1 << index[edge_key(p[i], p[i + 1])] for i in range(len(p) - 1)}) for p in a_paths(protocol)]
+
+
+def table_of(m: int, admitted) -> int:
+    return sum(1 << S for S in range(1 << m) if admitted(S))
+
+
+def counts_oracle(m: int, spos: list[int], table: int) -> list[list[int]]:
+    """The loop ``subset_counts`` ran before the tables were ints."""
+    plain_mask = sum(1 << i for i in range(m) if i not in spos)
+    counts = [[0] * (m - len(spos) + 1) for _ in range(1 << len(spos))]
+    for S in range(1 << m):
+        if table >> S & 1:
+            pat = sum((S >> pos & 1) << k for k, pos in enumerate(spos))
+            counts[pat][(S & plain_mask).bit_count()] += 1
+    return counts
+
+
+def spectrum_oracle(m: int, table: int) -> tuple[int, ...]:
+    counts = [0] * (m + 1)
+    for S in range(1 << m):
+        if table >> S & 1:
+            counts[S.bit_count()] += 1
+    return tuple(counts)
+
+
+def robustness_oracle(protocol: Protocol) -> int:
+    graph = protocol.graph
+    m = graph.m
+    worst = m + 1
+    for S in range(1 << m):
+        if connected_oracle(graph, S) and not subset_admits_walk(protocol, subset_edges(graph, S)):
+            worst = min(worst, m - S.bit_count())
+    return m if worst > m else worst - 1
+
+
+def with_overrides(rng: random.Random, graph: TwoTerminalGraph, k: int) -> tuple[EdgeProbabilityMap, list[int]]:
+    edges = graph.edge_list()
+    spos = sorted(rng.sample(range(len(edges)), k))
+    values = [Poly.constant(Fraction(rng.randint(1, 6), 7)), Poly((0, 0, 1)), Poly((Fraction(1, 2), Fraction(1, 3)))]
+    probmap = EdgeProbabilityMap.with_overrides(graph, {edges[i]: rng.choice(values) for i in spos})
+    return probmap, spos
+
+
+@pytest.mark.parametrize("m", list(range(13)))
+def test_tables_match_per_subset_oracles(m):
+    rng = random.Random(9000 + m)
+    for _ in range(3 if m <= 10 else 1):
+        graph = random_graph(rng, m)
+        conn = connectivity_table(graph)
+        assert conn == table_of(m, lambda S: connected_oracle(graph, S))
+        for protocol in random_protocols(rng, graph):
+            masks = path_oracle_masks(protocol)
+            assert path_table(protocol) == table_of(m, lambda S: any(mask & ~S == 0 for mask in masks))
+            walks = admits_table(protocol)
+            assert walks == table_of(m, lambda S: subset_admits_walk(protocol, subset_edges(graph, S)))
+            assert walks & ~conn == 0  # every admitting subset connects s and r
+            assert spectrum_from_table(m, walks) == spectrum_oracle(m, walks)
+            for k in range(min(m, 4) + 1):
+                probmap, spos = with_overrides(rng, graph, k)
+                assert subset_counts(graph, probmap, walks) == counts_oracle(m, spos, walks)
+            if is_finite(protocol):
+                assert robustness(protocol) == robustness_oracle(protocol)
+
+
+def test_counts_of_arbitrary_tables_with_many_overrides():
+    """Counting depends only on the table's bits, so random tables with up
+    to ``MAX_SPECIAL_EDGES`` overridden edges check every block width,
+    narrower than a byte included, and tables of more than one 2^12-bit
+    counting leaf (m = 14)."""
+    rng = random.Random(77)
+    for m in (1, 2, 3, 4, 7, 9, 14, 17):
+        graph = random_graph(rng, m)
+        for k in sorted({0, 1, m // 2, min(m, MAX_SPECIAL_EDGES)}):
+            probmap, spos = with_overrides(rng, graph, k)
+            table = rng.getrandbits(1 << m)
+            counts = subset_counts(graph, probmap, table)
+            if m <= 14:
+                assert counts == counts_oracle(m, spos, table)
+            assert sum(map(sum, counts)) == table.bit_count()
+            if not spos:
+                assert tuple(counts[0]) == spectrum_from_table(m, table)
+
+
+def grid(rows: int, cols: int) -> TwoTerminalGraph:
+    name = [[f"{i}.{j}" for j in range(cols)] for i in range(rows)]
+    edges = [(name[i][j], name[i][j + 1]) for i in range(rows) for j in range(cols - 1)]
+    edges += [(name[i][j], name[i + 1][j]) for i in range(rows - 1) for j in range(cols)]
+    return TwoTerminalGraph([v for row in name for v in row], edges, name[0][0], name[-1][-1])
+
+
+def test_table_builds_stay_within_a_few_columns_of_memory():
+    """An int over 2^m subsets takes 2^m/8 bytes, plus 1/15 for CPython's
+    30-bit digits.  At m = 20 the connectivity build keeps at most 2m+n+3
+    of them live (the m edge columns, the all-subsets column, a reach set
+    per vertex and per edge, and two temporaries) and the path build m+4
+    (the columns, the all-subsets column, and the running AND and table,
+    each with its temporary)."""
+    graph = grid(3, 5)  # 15 vertices, 22 edges
+    graph = TwoTerminalGraph(graph.vertices, graph.edge_list()[:20], graph.s, graph.r)
+    m, n = graph.m, len(graph.vertices)
+    protocol = cfp(graph)
+    for build, live in ((lambda: connectivity_table(graph), 2 * m + n + 3), (lambda: path_table(protocol), m + 4)):
+        tracemalloc.start()
+        try:
+            table = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < table < 1 << (1 << m)
+        assert peak <= 1.15 * live * (1 << m) // 8, (peak, live)
