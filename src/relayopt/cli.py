@@ -29,7 +29,7 @@ from .graphs import (
     require_open_unit,
 )
 from .optimizer import PiecewiseReliability
-from .polys import Poly, parse_rational
+from .polys import Poly, format_rational, parse_rational
 from .roots import AlgebraicNumber
 from .simulate import SEED_MAX, SEED_MIN, simulate as run_trials
 
@@ -55,7 +55,7 @@ def _breakpoint_json(root: AlgebraicNumber, order: int) -> dict:
     turns out rational is printed exactly, with its linear factor."""
     lo, hi = root.dyadic_cell(OUTPUT_WIDTH)
     poly = Poly((-lo, 1)) if lo == hi else root.poly
-    return {"interval": [str(lo), str(hi)], "poly": _poly_json(poly), "order": order}
+    return {"interval": [format_rational(lo), format_rational(hi)], "poly": _poly_json(poly), "order": order}
 
 
 def _piecewise_json(pw: PiecewiseReliability) -> dict:
@@ -254,12 +254,13 @@ def _run(args, stdin, stdout) -> None:
         protocol = _load_protocol(args.protocol, graph)
         emit(protocol_json(engine.spfp_reduce(protocol)))
     elif cmd == "reliability":
+        reliability.check_scan_guard(graph.m, guard)  # before the CFP's paths are enumerated
         protocol = _load_protocol(args.protocol, graph)
         fn = reliability.rho_prime_A if args.prime else reliability.rho_A
         at = None if args.at is None else require_open_unit(parse_rational(args.at))
         poly = fn(protocol, probmap, guard)
         if at is not None:
-            emit({"value": str(poly(at))})
+            emit({"value": format_rational(poly(at))})
         else:
             emit({"poly": _poly_json(poly)})
     elif cmd == "rho-hat":
@@ -267,7 +268,7 @@ def _run(args, stdin, stdout) -> None:
             emit(_piecewise_json(optimizer.rho_hat_piecewise(graph, probmap, guard)))
         elif args.at is not None:
             value, removed = optimizer.rho_hat_at(graph, probmap, parse_rational(args.at), guard)
-            emit({"value": str(value), "removed": [list(i) for i in sorted(removed)]})
+            emit({"value": format_rational(value), "removed": [list(i) for i in sorted(removed)]})
         else:
             poly, removed = optimizer.rho_hat_at(graph, probmap, None, guard)
             emit({"poly": _poly_json(poly), "removed": [list(i) for i in sorted(removed)]})
@@ -319,6 +320,7 @@ def _run(args, stdin, stdout) -> None:
         e, ce = asymptotics.near_one_expansion(graph, guard)
         emit({"e": e, "c_e": ce})
     elif cmd == "robustness":
+        reliability.check_scan_guard(graph.m, guard)
         protocol = _load_protocol(args.protocol, graph)
         emit({"robustness": asymptotics.robustness(protocol, guard)})
     elif cmd == "simulate":

@@ -57,10 +57,23 @@ def enumerate_sr_paths(graph: TwoTerminalGraph) -> list[Walk]:
 def cfp(graph: TwoTerminalGraph) -> Protocol:
     """The complete forwarding protocol: every instruction contained in some
     simple s,r-path."""
+    return Protocol(graph, _cfp_instructions(graph))
+
+
+def _cfp_instructions(graph: TwoTerminalGraph) -> frozenset[Instruction]:
+    """The CFP's instruction set, enumerated once per graph object and kept
+    on it: the graph is immutable, and the optimizer and the walk tables
+    ask for it once per candidate protocol."""
+    try:
+        return graph._cfp
+    except AttributeError:
+        pass
     ins: set[Instruction] = set()
     for p in enumerate_sr_paths(graph):
         ins.update(instructions_in(p))
-    return Protocol(graph, ins)
+    found = frozenset(ins)
+    object.__setattr__(graph, "_cfp", found)
+    return found
 
 
 def a_paths(protocol: Protocol) -> list[Walk]:

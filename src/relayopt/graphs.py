@@ -33,9 +33,12 @@ def edge_key(u: str, v: str) -> Edge:
 
 
 class TwoTerminalGraph:
-    """Immutable simple graph with sender ``s`` and receiver ``r``."""
+    """Immutable simple graph with sender ``s`` and receiver ``r``.
 
-    __slots__ = ("vertices", "edges", "s", "r", "_adj")
+    ``_cfp`` holds the CFP instruction set once ``engine.cfp`` has
+    enumerated it; it is unset until then."""
+
+    __slots__ = ("vertices", "edges", "s", "r", "_adj", "_cfp")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]], s: str, r: str):
         vs = frozenset(str(v) for v in vertices)

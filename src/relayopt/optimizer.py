@@ -38,6 +38,7 @@ from .reliability import (
     MAX_SCAN_EDGES,
     _superset_table,
     admits_table,
+    check_scan_guard,
     edge_masks,
     polynomial_from_counts,
     polynomial_from_table,
@@ -100,6 +101,7 @@ def discrepancy(
     max_edges: int = MAX_SCAN_EDGES,
 ) -> DiscrepancyReport:
     """Reliability lost by deleting the given instructions from the CFP."""
+    check_scan_guard(graph.m, max_edges)
     astar = cfp(graph)
     removal = frozenset(Instruction(*i) for i in removed)
     bad = removal - astar.instructions
@@ -194,6 +196,7 @@ def candidate_polynomials(
     (0,1), can neither win the pointwise maximum nor lie on the upper
     envelope, and is dropped before any polynomial is assembled.  Results
     are cached per (graph, probabilities, guards)."""
+    check_scan_guard(graph.m, max_edges)
     key = (graph, probmap, max_edges, max_tests)
     cached = _CANDIDATE_CACHE.get(key)
     if cached is not None:

@@ -17,25 +17,58 @@ printing and inspection, and the hash equals the hash of that tuple.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import FormatError
+from .errors import FormatError, GuardExceededError
 
 RationalLike = Fraction | int | str
 
+_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE][-+]?0*([\d_]*)\s*")
+
+
+def _digit_limit() -> int:
+    """The most decimal digits the interpreter converts between int and
+    str (0: no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(n: int, limit: int) -> bool:
+    """Whether ``n`` has more than ``limit`` decimal digits: 10^limit has
+    more than 3 * limit bits, so only longer ints need the comparison."""
+    return n.bit_length() > 3 * limit and abs(n) >= 10 ** limit
+
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse "a/b" or "a" into an exact rational."""
+    """Parse "a/b", "a" or a decimal such as "1.5e-3" into an exact
+    rational.  One whose numerator or denominator would have more digits
+    than the interpreter prints is refused with a guard error, an exponent
+    past that limit before the power of ten is built."""
+    limit = _digit_limit()
+    if limit and isinstance(text, str):
+        exp = _EXPONENT.fullmatch(text)
+        digits = exp[1].replace("_", "") if exp else ""
+        if len(digits) > len(str(limit)) or digits and int(digits) > limit:
+            raise GuardExceededError(f"exponent of {text[:40]!r} exceeds the {limit}-digit limit")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"not a rational: {text!r}") from exc
+    if limit and (_too_long(value.numerator, limit) or _too_long(value.denominator, limit)):
+        raise GuardExceededError(f"a rational with more than {limit} digits")
+    return value
 
 
 def format_rational(value: Fraction) -> str:
-    return str(value)
+    """``str(value)``, or a guard error for a numerator or denominator with
+    more digits than the interpreter prints."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise GuardExceededError(f"an exact value exceeds the {_digit_limit()}-digit output limit") from exc
 
 
 def _canonical(num: list[int], den: int) -> Poly:

@@ -12,8 +12,10 @@ iff edge e is in S, so one int operation decides all subsets at once.
   subset on and an edge only the subsets that contain it.
 - Paths: the OR, over the protocol's path edge sets, of the AND of each
   set's columns.
-- Walks: admission is monotone in the subset, so ``monotone_table`` runs a
-  state-graph search only on lattice-minimal candidates and on
+- Walks: a protocol that contains the CFP admits a walk exactly where s
+  and r are connected, so its table is the connectivity table.  For any
+  other protocol admission is monotone in the subset, so ``monotone_table``
+  runs a state-graph search only on lattice-minimal candidates and on
   non-admitting sets, one subset at a time; its byte per subset is packed
   into the int table once.
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .engine import StateGraph, _bits, _sweep, a_paths, cfp
+from .engine import StateGraph, _bits, _cfp_instructions, _sweep, a_paths, cfp
 from .errors import GuardExceededError
 from .graphs import Edge, EdgeProbabilityMap, Protocol, TwoTerminalGraph, edge_key
 from .polys import Poly
@@ -46,7 +48,9 @@ _PACK_BYTES = 1 << 16  # walk-table flags packed at a time
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _check_scan_guard(m: int, max_edges: int) -> None:
+def check_scan_guard(m: int, max_edges: int) -> None:
+    """Refuse an exhaustive scan of 2^m subsets past the ``max_edges``
+    guard; called before any path enumeration the scan needs."""
     if m > max_edges:
         raise GuardExceededError(f"{m} edges exceeds the subset-scan guard of {max_edges}")
 
@@ -144,9 +148,17 @@ def _packed(flags: bytearray) -> int:
 
 
 def admits_table(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> int:
-    """Indicator of subsets admitting a protocol walk."""
-    _check_scan_guard(protocol.graph.m, max_edges)
-    return _packed(monotone_table(protocol.graph.m, WalkAdmission(protocol).test))
+    """Indicator of subsets admitting a protocol walk.
+
+    A protocol containing the CFP's instructions admits a walk in exactly
+    the subsets that connect s and r: every s,r-path is a CFP walk, and
+    every walk contains an s,r-path.  Its table is the connectivity table;
+    every other protocol's comes from the per-subset walk search."""
+    graph = protocol.graph
+    check_scan_guard(graph.m, max_edges)
+    if protocol.instructions >= _cfp_instructions(graph):
+        return connectivity_table(graph, max_edges)
+    return _packed(monotone_table(graph.m, WalkAdmission(protocol).test))
 
 
 def subset_admits_walk(protocol: Protocol, subset: Iterable[tuple[str, str]]) -> bool:
@@ -191,14 +203,14 @@ def _superset_table(m: int, masks: Iterable[int]) -> int:
 
 def path_table(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> int:
     """Indicator of subsets containing the edge set of some protocol path."""
-    _check_scan_guard(protocol.graph.m, max_edges)
+    check_scan_guard(protocol.graph.m, max_edges)
     return _superset_table(protocol.graph.m, path_masks(protocol))
 
 
 def connectivity_table(graph: TwoTerminalGraph, max_edges: int = MAX_SCAN_EDGES) -> int:
     """Indicator of subsets keeping s and r in one component."""
     m = graph.m
-    _check_scan_guard(m, max_edges)
+    check_scan_guard(m, max_edges)
     order = sorted(graph.vertices)
     index = {v: i for i, v in enumerate(order)}
     n = len(order)
@@ -390,6 +402,7 @@ def rho(
     max_edges: int = MAX_SCAN_EDGES,
 ) -> Poly:
     """Two-terminal reliability: walk survival under the CFP."""
+    check_scan_guard(graph.m, max_edges)
     return rho_A(cfp(graph), probmap, max_edges)
 
 

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -353,6 +354,68 @@ def test_integer_terminals_match_integer_labels():
     status, out, err = run_cli(["validate"], json.dumps({"vertices": [1, 2], "edges": [[1, 2]], "s": 1, "r": 2}))
     assert status == 0 and not err
     assert json.loads(out)["s"] == "1"
+
+
+K12 = json.dumps({"vertices": [str(i) for i in range(12)],
+                  "edges": [[str(i), str(j)] for i in range(12) for j in range(i + 1, 12)], "s": "0", "r": "11"})
+REMOVE = "<removal file>"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reliability"], ["reliability", "--prime"], ["reliability", "--at", "1/2"], ["rho-hat"],
+    ["rho-hat", "--at", "1/2"], ["min-discrepancy"], ["discrepancy", "--remove", REMOVE], ["robustness"],
+    ["near-zero"], ["census"],
+], ids=" ".join)
+def test_scan_guard_comes_before_path_enumeration(argv, tmp_path):
+    """K12 has 66 edges and 9,864,101 s,r-paths: every subset-scan command
+    refuses it before enumerating them."""
+    if REMOVE in argv:
+        removal = tmp_path / "remove.json"
+        removal.write_text(json.dumps({"instructions": [["0", "1", "2"]]}))
+        argv = [str(removal) if a == REMOVE else a for a in argv]
+    start = time.perf_counter()
+    status, out, err = run_cli(argv, K12)
+    assert time.perf_counter() - start < 2
+    assert (status, out) == (3, "")
+    assert json.loads(err)["error"]["code"] == "guard-exceeded"
+
+
+TINY = _graph_text(prob={"default": "p", "overrides": {"a-s": "1e-3000", "a-r": "1e-3000"}})
+TOO_LONG = {
+    "reliability-at-1e-500": (["reliability", "--at", "1e-500"], b0_text()),
+    "rho-hat-at-1e-500": (["rho-hat", "--at", "1e-500"], b0_text()),
+    "reliability-at-1e-200000": (["reliability", "--at", "1e-200000"], b0_text()),
+    "rho-hat-at-1e-200000": (["rho-hat", "--at", "1e-200000"], b0_text()),
+    "at-with-a-huge-exponent": (["reliability", "--at", "1e-" + "9" * 5000], b0_text()),
+    "at-just-past-the-limit": (["reliability", "--at", "1e-4300"], b0_text()),
+    "override-product": (["reliability"], TINY),
+    "override-exponent": (["validate"], _graph_text(prob={"overrides": {"a-s": "1e-200000"}})),
+    "simulate-p": (["simulate", "--p", "1e-200000", "--trials", "5", "--seed", "1"], b0_text()),
+}
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter prints ints of any length")
+@pytest.mark.parametrize("argv, stdin_text", TOO_LONG.values(), ids=TOO_LONG.keys())
+def test_values_too_long_to_print_are_a_guard_error(argv, stdin_text):
+    """Exact values whose numerator or denominator has more digits than
+    the interpreter converts to a string are refused: an input as soon as
+    it is read, a result when it is printed."""
+    start = time.perf_counter()
+    status, out, err = run_cli(argv, stdin_text)
+    assert time.perf_counter() - start < 2
+    assert (status, out) == (3, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"]["code"] == "guard-exceeded"
+
+
+def test_values_within_the_digit_limit_are_printed():
+    status, out, err = run_cli(["reliability", "--at", "1e-300"], b0_text())
+    assert status == 0, err
+    assert Fraction(json.loads(out)["value"]) == rho(b0())(Fraction(1, 10 ** 300))
+    status, out, err = run_cli(["reliability"], _graph_text(prob={"overrides": {"a-s": "1e-2000", "a-r": "1e-2000"}}))
+    assert status == 0, err
+    assert json.loads(out) == {"poly": [f"1/1{'0' * 4000}"]}
 
 
 @pytest.mark.parametrize("argv", [["breakpoint-graph", "--orders", "25"], ["crossing-pair", "--profile", "25"]])

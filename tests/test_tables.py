@@ -1,7 +1,8 @@
 """Randomized differential tests of the bit-sliced subset tables against
 per-subset oracles kept here: a breadth-first search per subset for
 connectivity, ``subset_admits_walk`` per subset for walks, a containment
-test per subset for paths, and the counting loops the tables replaced."""
+test per subset for paths, the counting loops the tables replaced, and a
+per-subset polynomial sum for walk reliability."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from relayopt import (
     is_finite,
     subset_admits_walk,
 )
+from relayopt import reliability
 from relayopt.asymptotics import robustness
 from relayopt.graphs import all_instructions, edge_key
 from relayopt.polys import Poly
@@ -28,6 +30,7 @@ from relayopt.reliability import (
     admits_table,
     connectivity_table,
     path_table,
+    rho_A,
     spectrum_from_table,
     subset_counts,
 )
@@ -156,6 +159,93 @@ def test_counts_of_arbitrary_tables_with_many_overrides():
             assert sum(map(sum, counts)) == table.bit_count()
             if not spos:
                 assert tuple(counts[0]) == spectrum_from_table(m, table)
+
+
+def split_graph(rng: random.Random, m: int) -> TwoTerminalGraph:
+    """A graph with exactly m edges in which no edge crosses between the
+    side of s and the side of r, so s and r are disconnected."""
+    n = 1
+    while 2 * (n * (n - 1) // 2) < m:
+        n += 1
+    sides = [["s"] + [f"a{i}" for i in range(n - 1)], ["r"] + [f"b{i}" for i in range(n - 1)]]
+    pairs = [(a, b) for side in sides for i, a in enumerate(side) for b in side[i + 1:]]
+    return TwoTerminalGraph(sides[0] + sides[1], rng.sample(pairs, m), "s", "r")
+
+
+def adjacent_graph(rng: random.Random, m: int) -> TwoTerminalGraph:
+    """A random graph with exactly m >= 1 edges, one of them s-r."""
+    while True:
+        graph = random_graph(rng, m)
+        if graph.has_edge("s", "r"):
+            return graph
+
+
+def cfp_supersets(rng: random.Random, graph: TwoTerminalGraph) -> list[Protocol]:
+    """The CFP, the CFP plus a random part of the other legal instructions,
+    and every legal instruction."""
+    base = cfp(graph)
+    extra = [i for i in all_instructions(graph) if i not in base.instructions]
+    return [base, base.union(i for i in extra if rng.random() < 0.5), Protocol(graph, all_instructions(graph))]
+
+
+def reliability_oracle(protocol: Protocol, probmap: EdgeProbabilityMap) -> Poly:
+    """Sum over the subsets admitting a walk, one subset at a time, of the
+    probability that exactly that subset survives."""
+    graph = protocol.graph
+    weights = [probmap.poly_for_edge(e) for e in graph.edge_list()]
+    total = Poly.zero()
+    for S in range(1 << graph.m):
+        if subset_admits_walk(protocol, subset_edges(graph, S)):
+            term = Poly.one()
+            for e, w in enumerate(weights):
+                term = term * (w if S >> e & 1 else 1 - w)
+            total = total + term
+    return total
+
+
+def test_walk_tables_of_protocols_containing_the_cfp_match_oracles():
+    """36 graphs with m = 0..12: random, with an s-r edge, and (up to
+    m = 10) with s and r disconnected.  Every protocol containing the CFP
+    gets its table from the connectivity sweep, so it is checked here
+    against the per-subset walk search, and its reliability against the
+    per-subset polynomial sum."""
+    rng = random.Random(4242)
+    graphs = []
+    for m in range(13):
+        graphs.append(random_graph(rng, m))
+        if m:
+            graphs.append(adjacent_graph(rng, m))
+        if m <= 10:
+            graphs.append(split_graph(rng, m))
+    assert any(not connected_oracle(g, (1 << g.m) - 1) for g in graphs)
+    for graph in graphs:
+        m = graph.m
+        for protocol in cfp_supersets(rng, graph):
+            assert admits_table(protocol) == table_of(m, lambda S: subset_admits_walk(protocol, subset_edges(graph, S)))
+            if m <= 9:  # the polynomial oracle multiplies m polynomials per subset
+                probmap, _ = with_overrides(rng, graph, rng.randint(0, min(m, 3)))
+                assert rho_A(protocol, probmap) == reliability_oracle(protocol, probmap)
+
+
+def test_only_protocols_containing_the_cfp_skip_the_walk_search(monkeypatch):
+    """The connectivity table is taken exactly when the protocol contains
+    every CFP instruction: removing any one of them, even where the walk
+    table comes out the same, sends the protocol back to the walk search."""
+    searched = []
+    real = reliability.monotone_table
+    monkeypatch.setattr(reliability, "monotone_table", lambda m, test: searched.append(m) or real(m, test))
+    rng = random.Random(31)
+    for graph in (random_graph(rng, 9), adjacent_graph(rng, 8), grid(2, 3)):
+        for protocol in cfp_supersets(rng, graph):
+            searched.clear()
+            admits_table(protocol)
+            assert not searched
+        for ins in sorted(cfp(graph).instructions):
+            protocol = cfp(graph).minus([ins])
+            searched.clear()
+            table = admits_table(protocol)
+            assert searched == [graph.m]
+            assert table == table_of(graph.m, lambda S: subset_admits_walk(protocol, subset_edges(graph, S)))
 
 
 def grid(rows: int, cols: int) -> TwoTerminalGraph:
