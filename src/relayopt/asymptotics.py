@@ -12,14 +12,9 @@ from dataclasses import dataclass
 from math import comb
 
 from .engine import bounded_protocol, enumerate_sr_paths, is_finite
-from .errors import DomainError, GuardExceededError, InfiniteProtocolError
+from .errors import DomainError, InfiniteProtocolError
 from .graphs import Protocol, TwoTerminalGraph
-from .reliability import (
-    MAX_SCAN_EDGES,
-    admits_table,
-    connectivity_table,
-    spectrum_from_table,
-)
+from .reliability import admits_table, check_scan_guard, connectivity_table, spectrum_from_table
 
 
 @dataclass(frozen=True)
@@ -49,21 +44,20 @@ class CutCensus:
         return self.counts.get(size, 0)
 
 
-def path_census(graph: TwoTerminalGraph, max_edges: int = MAX_SCAN_EDGES) -> PathCensus:
-    if graph.m > max_edges:
-        raise GuardExceededError(f"{graph.m} edges exceeds the census guard of {max_edges}")
+def path_census(graph: TwoTerminalGraph) -> PathCensus:
+    check_scan_guard(graph.m)  # before the paths are enumerated
     counts: dict[int, int] = {}
     for p in enumerate_sr_paths(graph):
         counts[len(p) - 1] = counts.get(len(p) - 1, 0) + 1
     return PathCensus(min(counts) if counts else None, counts)
 
 
-def cut_census(graph: TwoTerminalGraph, max_edges: int = MAX_SCAN_EDGES) -> CutCensus:
+def cut_census(graph: TwoTerminalGraph) -> CutCensus:
     """Exhaustive scan: a j-set disconnects iff its complement does not
     connect s to r, so the counts are the complement of the connectivity
     spectrum."""
     m = graph.m
-    connected = spectrum_from_table(m, connectivity_table(graph, max_edges))
+    connected = spectrum_from_table(m, connectivity_table(graph))
     counts: dict[int, int] = {}
     for j in range(m + 1):
         c = comb(m, j) - connected[m - j]
@@ -72,11 +66,11 @@ def cut_census(graph: TwoTerminalGraph, max_edges: int = MAX_SCAN_EDGES) -> CutC
     return CutCensus(min(counts) if counts else None, counts)
 
 
-def near_zero_expansion(graph: TwoTerminalGraph, max_edges: int = MAX_SCAN_EDGES):
+def near_zero_expansion(graph: TwoTerminalGraph):
     """Head data of the optimal reliability near p = 0: the distance k, the
     counts of paths of lengths k and k+1, and the finite protocol of all
     instructions on paths of length at most k+1."""
-    census = path_census(graph, max_edges)
+    census = path_census(graph)
     k = census.distance
     if k is None:
         raise DomainError("s and r are disconnected", code="disconnected")
@@ -86,23 +80,23 @@ def near_zero_expansion(graph: TwoTerminalGraph, max_edges: int = MAX_SCAN_EDGES
     return k, census.count(k), census.count(k + 1), protocol
 
 
-def near_one_expansion(graph: TwoTerminalGraph, max_edges: int = MAX_SCAN_EDGES) -> tuple[int, int]:
+def near_one_expansion(graph: TwoTerminalGraph) -> tuple[int, int]:
     """Head data near p = 1: minimum cut size e and the number of minimum
     cuts, so the optimum is 1 - c_e q^e + O(q^(e+1)) in q = 1 - p."""
-    census = cut_census(graph, max_edges)
+    census = cut_census(graph)
     if census.min_cut is None:
         raise DomainError("s and r cannot be disconnected by edge removals")
     return census.min_cut, census.count(census.min_cut)
 
 
-def robustness(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> int:
+def robustness(protocol: Protocol) -> int:
     """Largest k such that every failure of at most k edges that leaves s,r
     connected still admits a protocol walk; requires a finite protocol."""
     if not is_finite(protocol):
         raise InfiniteProtocolError("infinite protocol")
     graph = protocol.graph
     m = graph.m
-    missed = connectivity_table(graph, max_edges) & ~admits_table(protocol, max_edges)
+    missed = connectivity_table(graph) & ~admits_table(protocol)
     if not missed:
         return m
     # the fewest failures that leave s,r connected but admit no walk

@@ -127,26 +127,11 @@ def _parse_orders(raw: str) -> tuple[int, ...]:
         raise FormatError(f"bad order list {raw!r}") from exc
 
 
-def _max_edges(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
-    if value > reliability.MAX_SCAN_EDGES_CEILING:
-        raise argparse.ArgumentTypeError(
-            f"{value} exceeds the ceiling of {reliability.MAX_SCAN_EDGES_CEILING} edges")
-    return value
-
-
 @functools.cache
 def build_parser() -> _Parser:
     """The one parser of the process; ``parse_args`` leaves it unchanged,
     so every ``main`` call shares it."""
     parser = _Parser(prog="relayopt", description=__doc__)
-    parser.add_argument("--max-edges", type=_max_edges, default=reliability.MAX_SCAN_EDGES,
-                        help=f"guard on exhaustive subset scans, at most {reliability.MAX_SCAN_EDGES_CEILING}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("validate")
@@ -212,8 +197,6 @@ def build_parser() -> _Parser:
 
 
 def _run(args, stdin, stdout) -> None:
-    guard = args.max_edges
-
     def emit(obj) -> None:
         stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -254,34 +237,34 @@ def _run(args, stdin, stdout) -> None:
         protocol = _load_protocol(args.protocol, graph)
         emit(protocol_json(engine.spfp_reduce(protocol)))
     elif cmd == "reliability":
-        reliability.check_scan_guard(graph.m, guard)  # before the CFP's paths are enumerated
+        reliability.check_scan_guard(graph.m)  # before the CFP's paths are enumerated
         protocol = _load_protocol(args.protocol, graph)
         fn = reliability.rho_prime_A if args.prime else reliability.rho_A
         at = None if args.at is None else require_open_unit(parse_rational(args.at))
-        poly = fn(protocol, probmap, guard)
+        poly = fn(protocol, probmap)
         if at is not None:
             emit({"value": format_rational(poly(at))})
         else:
             emit({"poly": _poly_json(poly)})
     elif cmd == "rho-hat":
         if args.piecewise:
-            emit(_piecewise_json(optimizer.rho_hat_piecewise(graph, probmap, guard)))
+            emit(_piecewise_json(optimizer.rho_hat_piecewise(graph, probmap)))
         elif args.at is not None:
-            value, removed = optimizer.rho_hat_at(graph, probmap, parse_rational(args.at), guard)
+            value, removed = optimizer.rho_hat_at(graph, probmap, parse_rational(args.at))
             emit({"value": format_rational(value), "removed": [list(i) for i in sorted(removed)]})
         else:
-            poly, removed = optimizer.rho_hat_at(graph, probmap, None, guard)
+            poly, removed = optimizer.rho_hat_at(graph, probmap)
             emit({"poly": _poly_json(poly), "removed": [list(i) for i in sorted(removed)]})
     elif cmd == "discrepancy":
         removal = parse_protocol(_read_json_file(args.remove, "protocol"), graph)
-        report = optimizer.discrepancy(graph, removal.instructions, probmap, args.check_event, guard)
+        report = optimizer.discrepancy(graph, removal.instructions, probmap, args.check_event)
         emit({
             "poly": _poly_json(report.polynomial),
             "finite": report.finite,
             "removed": [list(i) for i in sorted(report.removed)],
         })
     elif cmd == "min-discrepancy":
-        emit(_single_or_piecewise(optimizer.min_discrepancy(graph, probmap, guard)))
+        emit(_single_or_piecewise(optimizer.min_discrepancy(graph, probmap)))
     elif cmd == "compose":
         if args.op == "kelmans":
             for flag in ("f2", "g1", "g2"):
@@ -305,8 +288,8 @@ def _run(args, stdin, stdout) -> None:
         exp = constructions.expand(graph, (x, y), _load_tree(args.with_file))
         emit(graph_json(exp.graph))
     elif cmd == "census":
-        paths = asymptotics.path_census(graph, guard)
-        cuts = asymptotics.cut_census(graph, guard)
+        paths = asymptotics.path_census(graph)
+        cuts = asymptotics.cut_census(graph)
         emit({
             "k": paths.distance,
             "d": {str(k): v for k, v in sorted(paths.counts.items())},
@@ -314,15 +297,15 @@ def _run(args, stdin, stdout) -> None:
             "c": {str(k): v for k, v in sorted(cuts.counts.items())},
         })
     elif cmd == "near-zero":
-        k, dk, dk1, protocol = asymptotics.near_zero_expansion(graph, guard)
+        k, dk, dk1, protocol = asymptotics.near_zero_expansion(graph)
         emit({"k": k, "d_k": dk, "d_k1": dk1, "protocol": [list(i) for i in protocol]})
     elif cmd == "near-one":
-        e, ce = asymptotics.near_one_expansion(graph, guard)
+        e, ce = asymptotics.near_one_expansion(graph)
         emit({"e": e, "c_e": ce})
     elif cmd == "robustness":
-        reliability.check_scan_guard(graph.m, guard)
+        reliability.check_scan_guard(graph.m)
         protocol = _load_protocol(args.protocol, graph)
-        emit({"robustness": asymptotics.robustness(protocol, guard)})
+        emit({"robustness": asymptotics.robustness(protocol)})
     elif cmd == "simulate":
         if args.trials < 1:
             raise _UsageError("--trials must be at least 1")

@@ -30,7 +30,7 @@ from .graphs import (
     edge_key,
 )
 from .polys import Poly
-from .reliability import MAX_SCAN_EDGES, rho
+from .reliability import rho
 from .roots import AlgebraicNumber, isolate_roots_01, yun_decomposition
 
 MAX_BUILD_EDGES = 64
@@ -417,9 +417,9 @@ def kelmans_compose(f1, f2, g1, g2):
     )
 
 
-def delta_rho(a, b, max_edges: int = MAX_SCAN_EDGES) -> Poly:
+def delta_rho(a, b) -> Poly:
     """rho(a) - rho(b) at constant p."""
-    return rho(as_graph(a), None, max_edges) - rho(as_graph(b), None, max_edges)
+    return rho(as_graph(a)) - rho(as_graph(b))
 
 
 Profile = list[tuple[AlgebraicNumber, int]]
@@ -455,7 +455,7 @@ def _compose_pairs(a: tuple[SPTree, SPTree], b: tuple[SPTree, SPTree]) -> tuple[
     return kelmans_compose(a[0], a[1], b[0], b[1])
 
 
-def build_crossing_pair(orders: Sequence[int], max_edges: int = MAX_BUILD_EDGES) -> tuple[SPTree, SPTree]:
+def build_crossing_pair(orders: Sequence[int]) -> tuple[SPTree, SPTree]:
     """Series-parallel pair whose reliability difference has profile exactly
     ``orders``: the i-th root (in increasing order) gets multiplicity
     orders[i].  Built by powering the elementary pairs and composing."""
@@ -475,12 +475,12 @@ def build_crossing_pair(orders: Sequence[int], max_edges: int = MAX_BUILD_EDGES)
             powered = _compose_pairs(powered, part)
         combined = powered if combined is None else _compose_pairs(combined, powered)
     h1, h2 = combined
-    if h1.edge_count > max_edges or h2.edge_count > max_edges:
-        raise GuardExceededError(f"crossing pair exceeds {max_edges} edges")
+    if h1.edge_count > MAX_BUILD_EDGES or h2.edge_count > MAX_BUILD_EDGES:
+        raise GuardExceededError(f"crossing pair exceeds {MAX_BUILD_EDGES} edges")
     return h1, h2
 
 
-def build_breakpoint_graph(orders: Sequence[int], max_edges: int = MAX_BUILD_EDGES) -> TwoTerminalGraph:
+def build_breakpoint_graph(orders: Sequence[int]) -> TwoTerminalGraph:
     """Expansion of the built-in fixture at its two sender edges by a
     crossing pair, so the optimal reliability has breakpoints of exactly
     the requested odd orders."""
@@ -489,12 +489,12 @@ def build_breakpoint_graph(orders: Sequence[int], max_edges: int = MAX_BUILD_EDG
     if any(m % 2 == 0 for m in orders):
         raise DomainError("breakpoint orders must be odd")
     if orders:
-        h1, h2 = build_crossing_pair(orders, max_edges)
+        h1, h2 = build_crossing_pair(orders)
     else:
         h1, h2 = edge(), edge()
     base = b0()
     first = expand(base, ("s", "1"), h1)
     second = expand(first.graph, ("s", "2"), h2)
-    if second.graph.m > max_edges:
-        raise GuardExceededError(f"breakpoint graph exceeds {max_edges} edges")
+    if second.graph.m > MAX_BUILD_EDGES:
+        raise GuardExceededError(f"breakpoint graph exceeds {MAX_BUILD_EDGES} edges")
     return second.graph

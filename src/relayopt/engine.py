@@ -334,7 +334,7 @@ def finiteness_witness(protocol: Protocol) -> tuple[State, ...] | None:
     return circuits[0] if circuits else None
 
 
-def a_walks(protocol: Protocol, max_walks: int = DEFAULT_MAX_WALKS) -> list[Walk]:
+def a_walks(protocol: Protocol) -> list[Walk]:
     """All s,r-walks following the protocol, in lexicographic order.
 
     Walks correspond to state paths from an initial to an accepting state;
@@ -362,8 +362,8 @@ def a_walks(protocol: Protocol, max_walks: int = DEFAULT_MAX_WALKS) -> list[Walk
         path.append(i)
         pending.append(ess[i])
         if sg.accepting & low:
-            if len(walks) >= max_walks:
-                raise GuardExceededError(f"more than {max_walks} walks")
+            if len(walks) >= DEFAULT_MAX_WALKS:
+                raise GuardExceededError(f"more than {DEFAULT_MAX_WALKS} walks")
             walks.append(sg.walk_of(path))
     return walks
 
@@ -386,7 +386,7 @@ def loop_erase(walk: Sequence[str]) -> Walk:
     return tuple(path)
 
 
-def spfp_reduce(protocol: Protocol, max_walks: int = DEFAULT_MAX_WALKS) -> Protocol:
+def spfp_reduce(protocol: Protocol) -> Protocol:
     """Reduce a finite protocol to a strongly essential partial forwarding
     protocol dominating it.
 
@@ -401,7 +401,7 @@ def spfp_reduce(protocol: Protocol, max_walks: int = DEFAULT_MAX_WALKS) -> Proto
     graph = protocol.graph
     current = protocol
     while True:
-        walks = a_walks(current, max_walks=max_walks)
+        walks = a_walks(current)
         ins: set[Instruction] = set()
         for w in walks:
             ins.update(instructions_in(loop_erase(w)))

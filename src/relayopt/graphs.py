@@ -72,6 +72,10 @@ class TwoTerminalGraph:
     def __setattr__(self, name, value):
         raise AttributeError("TwoTerminalGraph is immutable")
 
+    def __reduce__(self):
+        # copies and unpickling rebuild through the validating constructor
+        return TwoTerminalGraph, (sorted(self.vertices), self.edge_list(), self.s, self.r)
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -150,6 +154,9 @@ class Protocol:
     def __setattr__(self, name, value):
         raise AttributeError("Protocol is immutable")
 
+    def __reduce__(self):
+        return Protocol, (self.graph, sorted(self.instructions))
+
     def __contains__(self, item) -> bool:
         return Instruction(*item) in self.instructions
 
@@ -211,6 +218,9 @@ class EdgeProbabilityMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("EdgeProbabilityMap is immutable")
+
+    def __reduce__(self):
+        return EdgeProbabilityMap, (self.graph, dict(self.items()))
 
     @classmethod
     def constant_p(cls, graph: TwoTerminalGraph) -> EdgeProbabilityMap:

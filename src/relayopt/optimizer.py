@@ -35,7 +35,6 @@ from .graphs import (
 )
 from .polys import Poly, poly_gcd
 from .reliability import (
-    MAX_SCAN_EDGES,
     _superset_table,
     admits_table,
     check_scan_guard,
@@ -98,19 +97,18 @@ def discrepancy(
     removed: Iterable[tuple[str, str, str]],
     probmap: EdgeProbabilityMap | None = None,
     check_event: bool = False,
-    max_edges: int = MAX_SCAN_EDGES,
 ) -> DiscrepancyReport:
     """Reliability lost by deleting the given instructions from the CFP."""
-    check_scan_guard(graph.m, max_edges)
+    check_scan_guard(graph.m)
     astar = cfp(graph)
     removal = frozenset(Instruction(*i) for i in removed)
     bad = removal - astar.instructions
     if bad:
         worst = "".join(sorted(bad)[0])
         raise InstructionError(f"{worst} is not a CFP instruction", code="not-in-cfp")
-    base = rho_A(astar, probmap, max_edges)
+    base = rho_A(astar, probmap)
     reduced = astar.minus(removal)
-    reduced_table = admits_table(reduced, max_edges)
+    reduced_table = admits_table(reduced)
     d = base - polynomial_from_table(graph, probmap, reduced_table)
     if check_event:
         event = _removal_event_polynomial(graph, removal, reduced_table, probmap)
@@ -132,14 +130,11 @@ def circuit_instructions(graph: TwoTerminalGraph) -> list[Instruction]:
     return sorted(sg.instruction_of(i, j) for i, j in sg.circuit_transitions())
 
 
-def _minimal_removal_family(
-    astar: Protocol,
-    candidates: Sequence[Instruction],
-    max_tests: int,
-) -> list[RemovalSet]:
+def _minimal_removal_family(astar: Protocol, candidates: Sequence[Instruction]) -> list[RemovalSet]:
     """All inclusion-minimal subsets of the candidates whose removal leaves
     the CFP finite, by increasing-size search with finiteness re-checked
-    after every removal (essentiality shifts as instructions disappear)."""
+    after every removal (essentiality shifts as instructions disappear);
+    refused past ``MAX_REMOVAL_TESTS`` finiteness tests."""
     if is_finite(astar):
         return [frozenset()]
     found: list[RemovalSet] = []
@@ -152,8 +147,8 @@ def _minimal_removal_family(
                 continue
             saw_open = True
             tests += 1
-            if tests > max_tests:
-                raise GuardExceededError(f"removal search exceeded {max_tests} finiteness tests")
+            if tests > MAX_REMOVAL_TESTS:
+                raise GuardExceededError(f"removal search exceeded {MAX_REMOVAL_TESTS} finiteness tests")
             if is_finite(astar.minus(cset)):
                 found.append(cset)
         if not saw_open:
@@ -161,29 +156,21 @@ def _minimal_removal_family(
     return sorted(found, key=_removal_sort_key)
 
 
-def minimal_removal_sets(
-    graph: TwoTerminalGraph,
-    max_tests: int = MAX_REMOVAL_TESTS,
-) -> list[RemovalSet]:
+def minimal_removal_sets(graph: TwoTerminalGraph) -> list[RemovalSet]:
     """Minimal circuit-borne removal sets making the CFP finite.  Removing
     every circuit-borne instruction always succeeds, so the family is
     nonempty; for a finite CFP it is the single empty set."""
     astar = cfp(graph)
-    return _minimal_removal_family(astar, circuit_instructions(graph), max_tests)
+    return _minimal_removal_family(astar, circuit_instructions(graph))
 
 
 # ---------------------------------------------------------------------------
 # Optimal reliability
 # ---------------------------------------------------------------------------
 
-_CANDIDATE_CACHE: dict = {}
-
-
 def candidate_polynomials(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None = None,
-    max_edges: int = MAX_SCAN_EDGES,
-    max_tests: int = MAX_REMOVAL_TESTS,
 ) -> list[tuple[RemovalSet, Poly]]:
     """Reliability polynomial of every undominated maximal-finite-candidate
     protocol, with identical polynomials collapsed to the lexicographically
@@ -194,36 +181,26 @@ def candidate_polynomials(
     so every basis term is positive on (0,1): a candidate whose counts are
     coordinatewise at most another's is strictly below it everywhere in
     (0,1), can neither win the pointwise maximum nor lie on the upper
-    envelope, and is dropped before any polynomial is assembled.  Results
-    are cached per (graph, probabilities, guards)."""
-    check_scan_guard(graph.m, max_edges)
-    key = (graph, probmap, max_edges, max_tests)
-    cached = _CANDIDATE_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
+    envelope, and is dropped before any polynomial is assembled."""
+    check_scan_guard(graph.m)
     astar = cfp(graph)
     # Removal sets arrive sorted, so the first one kept is the least.
     by_counts: dict[tuple[int, ...], tuple[RemovalSet, list[list[int]]]] = {}
-    for removal in minimal_removal_sets(graph, max_tests):
-        counts = subset_counts(graph, probmap, admits_table(astar.minus(removal), max_edges))
+    for removal in minimal_removal_sets(graph):
+        counts = subset_counts(graph, probmap, admits_table(astar.minus(removal)))
         by_counts.setdefault(tuple(itertools.chain.from_iterable(counts)), (removal, counts))
     best: dict[Poly, RemovalSet] = {}
     for vector, (removal, counts) in by_counts.items():
         if any(other != vector and all(a <= b for a, b in zip(vector, other)) for other in by_counts):
             continue
         best.setdefault(polynomial_from_counts(graph, probmap, counts), removal)
-    result = sorted(((rem, poly) for poly, rem in best.items()), key=lambda t: _removal_sort_key(t[0]))
-    if len(_CANDIDATE_CACHE) > 64:
-        _CANDIDATE_CACHE.clear()
-    _CANDIDATE_CACHE[key] = result
-    return list(result)
+    return sorted(((rem, poly) for poly, rem in best.items()), key=lambda t: _removal_sort_key(t[0]))
 
 
 def rho_hat_at(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None = None,
     at: Fraction | None = None,
-    max_edges: int = MAX_SCAN_EDGES,
 ):
     """Optimal reliability over finite protocols.
 
@@ -235,7 +212,7 @@ def rho_hat_at(
     """
     if at is not None:
         require_open_unit(at)
-    cands = candidate_polynomials(graph, probmap, max_edges)
+    cands = candidate_polynomials(graph, probmap)
     if at is not None:
         best_val: Fraction | None = None
         best_rem: RemovalSet | None = None
@@ -261,7 +238,6 @@ def brute_force_rho_hat(
     graph: TwoTerminalGraph,
     p0: Fraction,
     probmap: EdgeProbabilityMap | None = None,
-    max_tests: int = MAX_REMOVAL_TESTS,
 ) -> Fraction:
     """Test oracle: maximum reliability at p0 over every finite subset of
     the CFP.  Walk survival is monotone in the instruction set, so the
@@ -275,7 +251,7 @@ def brute_force_rho_hat(
         )
     removals = _ORACLE_CACHE.get(astar)
     if removals is None:
-        removals = _minimal_removal_family(astar, sorted(astar.instructions), max_tests)
+        removals = _minimal_removal_family(astar, sorted(astar.instructions))
         if len(_ORACLE_CACHE) > 16:
             _ORACLE_CACHE.clear()
         _ORACLE_CACHE[astar] = removals
@@ -420,50 +396,42 @@ def _defining_factor(diff: Poly, root: AlgebraicNumber, order: int) -> Poly:
 def rho_hat_piecewise(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None = None,
-    max_edges: int = MAX_SCAN_EDGES,
 ) -> PiecewiseReliability:
     """Optimal reliability as an exact piecewise polynomial on (0,1): the
     upper envelope of the candidate polynomials, with breakpoints located
     by exact root isolation of pairwise differences."""
-    return _upper_envelope(candidate_polynomials(graph, probmap, max_edges))
+    return _upper_envelope(candidate_polynomials(graph, probmap))
 
 
 def min_discrepancy(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None = None,
-    max_edges: int = MAX_SCAN_EDGES,
 ) -> PiecewiseReliability:
     """rho - rho_hat as an exact piecewise polynomial (a single piece where
     no breakpoint occurs)."""
-    base = rho(graph, probmap, max_edges)
-    return rho_hat_piecewise(graph, probmap, max_edges).map_pieces(lambda q: base - q)
+    base = rho(graph, probmap)
+    return rho_hat_piecewise(graph, probmap).map_pieces(lambda q: base - q)
 
 
 def optimal_protocol(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None = None,
     at: Fraction | None = None,
-    max_edges: int = MAX_SCAN_EDGES,
 ) -> tuple[Protocol, RemovalSet]:
     """A finite strongly essential protocol attaining the optimum: the
     reduction of the winning maximal finite candidate."""
-    _, removal = rho_hat_at(graph, probmap, at, max_edges)
+    _, removal = rho_hat_at(graph, probmap, at)
     return spfp_reduce(cfp(graph).minus(removal)), removal
 
 
-def breakpoint_free_check(
-    graph: TwoTerminalGraph,
-    a: int,
-    b: int,
-    max_edges: int = MAX_SCAN_EDGES,
-) -> bool:
+def breakpoint_free_check(graph: TwoTerminalGraph, a: int, b: int) -> bool:
     """True iff no breakpoint of the optimal reliability lies within
     (3b)^-m of a/b (excluding a/b itself)."""
     if b < 1 or not 0 <= a <= b:
         raise ValueError("need 0 <= a <= b with b >= 1")
     center = Fraction(a, b)
     radius = Fraction(1, (3 * b) ** graph.m)
-    pw = rho_hat_piecewise(graph, None, max_edges)
+    pw = rho_hat_piecewise(graph, None)
     for bp in pw.breakpoints:
         root = bp.root
         if root.equals_rational(center):

@@ -155,6 +155,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return Poly, (self.coeffs,)
+
     @classmethod
     def zero(cls) -> Poly:
         return _ZERO

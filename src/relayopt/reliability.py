@@ -1,8 +1,8 @@
 """Exact reliability polynomials via tables over all 2^m edge subsets.
 
-Every exact answer is a sum over the 2^m edge subsets (guarded by
-``max_edges``).  A table is an int with bit S set iff subset S is
-admitted, where bit e of S stands for the e-th edge in canonical order.
+Every exact answer is a sum over the 2^m edge subsets, refused past
+``MAX_SCAN_EDGES`` edges.  A table is an int with bit S set iff subset S
+is admitted, where bit e of S stands for the e-th edge in canonical order.
 Tables are built bit-sliced, from the edge columns: column e has bit S set
 iff edge e is in S, so one int operation decides all subsets at once.
 
@@ -34,13 +34,12 @@ from .errors import GuardExceededError
 from .graphs import Edge, EdgeProbabilityMap, Protocol, TwoTerminalGraph, edge_key
 from .polys import Poly
 
+# The most edges an exhaustive subset scan takes.  A table or column over
+# 2^m subsets takes 2^m/8 bytes, and the connectivity sweep keeps about 3m
+# of them live (the edge columns, and a reach set per vertex and per
+# edge): on a tree with m + 1 vertices its peak RSS rose 168 MiB at m = 24
+# and 345 MiB at m = 25, past a 256 MiB budget.
 MAX_SCAN_EDGES = 24
-# The largest subset-scan guard a caller may ask for.  A table or column
-# over 2^m subsets takes 2^m/8 bytes, and the connectivity sweep keeps
-# about 3m of them live (the edge columns, and a reach set per vertex and
-# per edge): on a tree with m + 1 vertices its peak RSS rose 168 MiB at
-# m = 24 and 345 MiB at m = 25, past the 256 MiB this ceiling allows.
-MAX_SCAN_EDGES_CEILING = 24
 MAX_SPECIAL_EDGES = 16
 MAX_IE_PATHS = 20
 _LEAF_BITS = 12  # subsets counted per leaf: 2^12 table bits, 512 bytes
@@ -48,11 +47,11 @@ _PACK_BYTES = 1 << 16  # walk-table flags packed at a time
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def check_scan_guard(m: int, max_edges: int) -> None:
-    """Refuse an exhaustive scan of 2^m subsets past the ``max_edges``
-    guard; called before any path enumeration the scan needs."""
-    if m > max_edges:
-        raise GuardExceededError(f"{m} edges exceeds the subset-scan guard of {max_edges}")
+def check_scan_guard(m: int) -> None:
+    """Refuse an exhaustive scan of 2^m subsets past ``MAX_SCAN_EDGES``;
+    called before any path enumeration the scan needs."""
+    if m > MAX_SCAN_EDGES:
+        raise GuardExceededError(f"{m} edges exceeds the subset-scan guard of {MAX_SCAN_EDGES}")
 
 
 def edge_bits(graph: TwoTerminalGraph) -> dict[Edge, int]:
@@ -147,7 +146,7 @@ def _packed(flags: bytearray) -> int:
     return int.from_bytes(b"".join(parts), "little")
 
 
-def admits_table(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> int:
+def admits_table(protocol: Protocol) -> int:
     """Indicator of subsets admitting a protocol walk.
 
     A protocol containing the CFP's instructions admits a walk in exactly
@@ -155,19 +154,36 @@ def admits_table(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> int:
     every walk contains an s,r-path.  Its table is the connectivity table;
     every other protocol's comes from the per-subset walk search."""
     graph = protocol.graph
-    check_scan_guard(graph.m, max_edges)
+    check_scan_guard(graph.m)
     if protocol.instructions >= _cfp_instructions(graph):
-        return connectivity_table(graph, max_edges)
+        return connectivity_table(graph)
     return _packed(monotone_table(graph.m, WalkAdmission(protocol).test))
 
 
 def subset_admits_walk(protocol: Protocol, subset: Iterable[tuple[str, str]]) -> bool:
-    """True iff some walk of the protocol uses only edges of the subset."""
-    bits = edge_bits(protocol.graph)
-    S = 0
-    for u, v in subset:
-        S |= bits[edge_key(u, v)]
-    return WalkAdmission(protocol).test(S)
+    """True iff some walk of the protocol uses only edges of the subset: a
+    breadth-first search over the states (u, v), from any (s, x) to any
+    (y, r), that follows instruction uvw only when uv and vw both lie in
+    the subset.  It shares no code with the walk tables, which it checks."""
+    graph = protocol.graph
+    alive = {edge_key(u, v) for u, v in subset}
+    forward: dict[tuple[str, str], list[str]] = {}
+    for u, v, w in protocol.instructions:
+        if edge_key(u, v) in alive and edge_key(v, w) in alive:
+            forward.setdefault((u, v), []).append(w)
+    frontier = [(graph.s, x) for x in graph.neighbors(graph.s) if edge_key(graph.s, x) in alive]
+    seen = set(frontier)
+    while frontier:
+        if any(v == graph.r for _, v in frontier):
+            return True
+        step = []
+        for u, v in frontier:
+            for w in forward.get((u, v), ()):
+                if (v, w) not in seen:
+                    seen.add((v, w))
+                    step.append((v, w))
+        frontier = step
+    return False
 
 
 def edge_masks(graph: TwoTerminalGraph, paths: Iterable[Sequence[str]]) -> list[int]:
@@ -201,16 +217,16 @@ def _superset_table(m: int, masks: Iterable[int]) -> int:
     return table
 
 
-def path_table(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> int:
+def path_table(protocol: Protocol) -> int:
     """Indicator of subsets containing the edge set of some protocol path."""
-    check_scan_guard(protocol.graph.m, max_edges)
+    check_scan_guard(protocol.graph.m)
     return _superset_table(protocol.graph.m, path_masks(protocol))
 
 
-def connectivity_table(graph: TwoTerminalGraph, max_edges: int = MAX_SCAN_EDGES) -> int:
+def connectivity_table(graph: TwoTerminalGraph) -> int:
     """Indicator of subsets keeping s and r in one component."""
     m = graph.m
-    check_scan_guard(m, max_edges)
+    check_scan_guard(m)
     order = sorted(graph.vertices)
     index = {v: i for i, v in enumerate(order)}
     n = len(order)
@@ -269,14 +285,14 @@ def spectrum_from_table(m: int, table: int) -> tuple[int, ...]:
     return tuple(_block_counts(table, m, 0)[0])
 
 
-def walk_spectrum(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> tuple[int, ...]:
+def walk_spectrum(protocol: Protocol) -> tuple[int, ...]:
     """a_i = number of i-edge subsets admitting a protocol walk."""
-    return spectrum_from_table(protocol.graph.m, admits_table(protocol, max_edges))
+    return spectrum_from_table(protocol.graph.m, admits_table(protocol))
 
 
-def path_spectrum(protocol: Protocol, max_edges: int = MAX_SCAN_EDGES) -> tuple[int, ...]:
+def path_spectrum(protocol: Protocol) -> tuple[int, ...]:
     """a_i = number of i-edge subsets containing some protocol path."""
-    return spectrum_from_table(protocol.graph.m, path_table(protocol, max_edges))
+    return spectrum_from_table(protocol.graph.m, path_table(protocol))
 
 
 def _binomial_basis(n: int) -> list[Poly]:
@@ -376,59 +392,39 @@ def polynomial_from_table(
     return polynomial_from_counts(graph, probmap, subset_counts(graph, probmap, table))
 
 
-def rho_A(
-    protocol: Protocol,
-    probmap: EdgeProbabilityMap | None = None,
-    max_edges: int = MAX_SCAN_EDGES,
-) -> Poly:
+def rho_A(protocol: Protocol, probmap: EdgeProbabilityMap | None = None) -> Poly:
     """Probability that the edges of some protocol walk all survive."""
-    table = admits_table(protocol, max_edges)
+    table = admits_table(protocol)
     return polynomial_from_table(protocol.graph, probmap, table)
 
 
-def rho_prime_A(
-    protocol: Protocol,
-    probmap: EdgeProbabilityMap | None = None,
-    max_edges: int = MAX_SCAN_EDGES,
-) -> Poly:
+def rho_prime_A(protocol: Protocol, probmap: EdgeProbabilityMap | None = None) -> Poly:
     """Probability that the edge set of some protocol path fully survives."""
-    table = path_table(protocol, max_edges)
+    table = path_table(protocol)
     return polynomial_from_table(protocol.graph, probmap, table)
 
 
-def rho(
-    graph: TwoTerminalGraph,
-    probmap: EdgeProbabilityMap | None = None,
-    max_edges: int = MAX_SCAN_EDGES,
-) -> Poly:
+def rho(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None = None) -> Poly:
     """Two-terminal reliability: walk survival under the CFP."""
-    check_scan_guard(graph.m, max_edges)
-    return rho_A(cfp(graph), probmap, max_edges)
+    check_scan_guard(graph.m)
+    return rho_A(cfp(graph), probmap)
 
 
-def rho_by_connectivity(
-    graph: TwoTerminalGraph,
-    probmap: EdgeProbabilityMap | None = None,
-    max_edges: int = MAX_SCAN_EDGES,
-) -> Poly:
+def rho_by_connectivity(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None = None) -> Poly:
     """Independent cross-check: s,r-connectivity of each subset, from the
     graph alone (no protocol or state graph)."""
-    table = connectivity_table(graph, max_edges)
+    table = connectivity_table(graph)
     return polynomial_from_table(graph, probmap, table)
 
 
-def rho_prime_inclusion_exclusion(
-    protocol: Protocol,
-    probmap: EdgeProbabilityMap | None = None,
-    max_paths: int = MAX_IE_PATHS,
-) -> Poly:
+def rho_prime_inclusion_exclusion(protocol: Protocol, probmap: EdgeProbabilityMap | None = None) -> Poly:
     """Inclusion-exclusion over the protocol's paths; cross-check only."""
     if probmap is None:
         probmap = EdgeProbabilityMap.constant_p(protocol.graph)
     masks = path_masks(protocol)
     k = len(masks)
-    if k > max_paths:
-        raise GuardExceededError(f"{k} paths exceeds the inclusion-exclusion guard of {max_paths}")
+    if k > MAX_IE_PATHS:
+        raise GuardExceededError(f"{k} paths exceeds the inclusion-exclusion guard of {MAX_IE_PATHS}")
     edges = protocol.graph.edge_list()
     wpolys = [probmap.poly_for_edge(e) for e in edges]
     products: dict[int, Poly] = {0: Poly.one()}

@@ -141,7 +141,6 @@ def simulate(
     trials: int,
     seed: int,
     count_copies: bool = False,
-    max_copies: int = COPY_CAP,
 ) -> TrialReport:
     """Estimate delivery probability by sampling edge failures; optionally
     histogram the number of message copies the receiver gets per trial."""
@@ -169,8 +168,8 @@ def simulate(
             masks = Counter(map(bytes, zip(b"0" * (stop - first), *reversed(digits))))
             for mask, n in masks.items():
                 c = count(_binary(mask))
-                if c > max_copies:
-                    raise GuardExceededError(f"more than {max_copies} surviving walks in one trial")
+                if c > COPY_CAP:
+                    raise GuardExceededError(f"more than {COPY_CAP} surviving walks in one trial")
                 histogram[c] += n
     estimate = Fraction(deliveries, trials)
     stderr = math.sqrt(float(estimate * (1 - estimate)) / trials)

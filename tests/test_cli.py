@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from relayopt import build_breakpoint_graph, build_crossing_pair, cfp, essential_circuits, realize, rho
+from relayopt import build_breakpoint_graph, build_crossing_pair, cfp, essential_circuits, realize, reliability, rho
 from relayopt.cli import build_parser, main
+from relayopt.constructions import path_graph
 from relayopt.graphs import EdgeProbabilityMap, TwoTerminalGraph, b0, graph_json, protocol_json
 
 
@@ -210,8 +211,9 @@ def test_infinite_protocol_error():
     assert json.loads(err)["error"]["code"] == "infinite-protocol"
 
 
-def test_guard_error_exit_code():
-    status, _, err = run_cli(["--max-edges", "4", "reliability"], b0_text())
+def test_guard_error_exit_code(monkeypatch):
+    monkeypatch.setattr(reliability, "MAX_SCAN_EDGES", 9)  # b0 has 10 edges
+    status, _, err = run_cli(["reliability"], b0_text())
     assert status == 3
     assert json.loads(err)["error"]["code"] == "guard-exceeded"
 
@@ -320,10 +322,7 @@ MALFORMED = {
     "graph-not-an-object": (["validate"], "\"not an object\"", "bad-format", 2),
     "removed-threads-flag": (["--threads", "2", "cfp"], _graph_text(), "usage", 1),
     "removed-quiet-flag": (["--quiet", "cfp"], _graph_text(), "usage", 1),
-    "max-edges-over-ceiling": (["--max-edges", "1000", "rho-hat", "--at", "1/2"], _graph_text(), "usage", 1),
-    "max-edges-just-over-ceiling": (["--max-edges", "25", "reliability"], _graph_text(), "usage", 1),
-    "max-edges-not-an-integer": (["--max-edges", "many", "cfp"], _graph_text(), "usage", 1),
-    "max-edges-negative": (["--max-edges", "-3", "reliability"], _graph_text(), "usage", 1),
+    "removed-max-edges-flag": (["--max-edges", "4", "reliability"], _graph_text(), "usage", 1),
     "seed-beyond-64-bits": (["simulate", "--p", "1/2", "--trials", "5", "--seed", str(1 << 70)],
                             _graph_text(), "usage", 1),
     "seed-below-64-bits": (["simulate", "--p", "1/2", "--trials", "5", "--seed", str(-(1 << 63) - 1)],
@@ -358,6 +357,7 @@ def test_integer_terminals_match_integer_labels():
 
 K12 = json.dumps({"vertices": [str(i) for i in range(12)],
                   "edges": [[str(i), str(j)] for i in range(12) for j in range(i + 1, 12)], "s": "0", "r": "11"})
+CHAIN25 = json.dumps(graph_json(realize(path_graph(reliability.MAX_SCAN_EDGES + 2))))  # one edge past the guard
 REMOVE = "<removal file>"
 
 
@@ -368,16 +368,16 @@ REMOVE = "<removal file>"
 ], ids=" ".join)
 def test_scan_guard_comes_before_path_enumeration(argv, tmp_path):
     """K12 has 66 edges and 9,864,101 s,r-paths: every subset-scan command
-    refuses it before enumerating them."""
-    if REMOVE in argv:
-        removal = tmp_path / "remove.json"
-        removal.write_text(json.dumps({"instructions": [["0", "1", "2"]]}))
-        argv = [str(removal) if a == REMOVE else a for a in argv]
-    start = time.perf_counter()
-    status, out, err = run_cli(argv, K12)
-    assert time.perf_counter() - start < 2
-    assert (status, out) == (3, "")
-    assert json.loads(err)["error"]["code"] == "guard-exceeded"
+    refuses it before enumerating them, as it refuses a 25-edge chain."""
+    removal = tmp_path / "remove.json"
+    for graph_text, instruction in ((K12, ["0", "1", "2"]), (CHAIN25, ["s", "x24", "x23"])):
+        removal.write_text(json.dumps({"instructions": [instruction]}))
+        start = time.perf_counter()
+        status, out, err = run_cli([str(removal) if a == REMOVE else a for a in argv], graph_text)
+        assert time.perf_counter() - start < 2
+        assert (status, out) == (3, "")
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert json.loads(err)["error"]["code"] == "guard-exceeded"
 
 
 TINY = _graph_text(prob={"default": "p", "overrides": {"a-s": "1e-3000", "a-r": "1e-3000"}})

@@ -21,6 +21,7 @@ from relayopt import (
     spfp_reduce,
     strongly_essential_instructions,
 )
+from relayopt import constructions
 from relayopt.constructions import (
     build_breakpoint_graph,
     build_crossing_pair,
@@ -109,12 +110,13 @@ def test_deep_tree_hashes_compares_and_serialises():
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def test_equality_compares_shared_subtrees_once():
+def test_equality_compares_shared_subtrees_once(monkeypatch):
     # about 4 * 10^9 edges when unfolded, in two separately built trees
-    first, _ = build_crossing_pair((30,), max_edges=1 << 64)
-    again, _ = build_crossing_pair((30,), max_edges=1 << 64)
+    monkeypatch.setattr(constructions, "MAX_BUILD_EDGES", 1 << 64)
+    first, _ = build_crossing_pair((30,))
+    again, _ = build_crossing_pair((30,))
     assert first is not again and first == again
-    assert first != build_crossing_pair((29,), max_edges=1 << 64)[0]
+    assert first != build_crossing_pair((29,))[0]
 
 
 def test_deep_tree_copies_pickles_and_prints():
@@ -124,13 +126,14 @@ def test_deep_tree_copies_pickles_and_prints():
         assert again is not tree and again == tree and again.edge_count == 2999
 
 
-def test_copies_keep_shared_subtrees_shared():
+def test_copies_keep_shared_subtrees_shared(monkeypatch):
     pair = series(edge(), edge())
     tree = parallel(series(pair, pair), path_graph(3))
     for again in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
         assert again == tree and again.left.left is again.left.right
     # about 4 * 10^9 edges when unfolded: only shared nodes make this small
-    big, _ = build_crossing_pair((30,), max_edges=1 << 64)
+    monkeypatch.setattr(constructions, "MAX_BUILD_EDGES", 1 << 64)
+    big, _ = build_crossing_pair((30,))
     data = pickle.dumps(big)
     assert len(data) < 10_000 and pickle.loads(data) == big
 
@@ -309,13 +312,14 @@ def test_crossing_pair_squared_root():
     assert prof[0][0].compare(golden) == 0
 
 
-def test_crossing_pair_guards():
+def test_crossing_pair_guards(monkeypatch):
     with pytest.raises(ValueError):
         build_crossing_pair(())
     with pytest.raises(ValueError):
         build_crossing_pair((0,))
+    monkeypatch.setattr(constructions, "MAX_BUILD_EDGES", 32)
     with pytest.raises(GuardExceededError):
-        build_crossing_pair((1,) * 6, max_edges=32)
+        build_crossing_pair((1,) * 6)
 
 
 # -- breakpoint graphs ---------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,12 +14,14 @@ from relayopt import (
     TwoTerminalGraph,
     UnknownVertexError,
     all_instructions,
+    cfp,
     graph_json,
     parse_graph,
     parse_protocol,
     protocol_json,
     validate_graph,
 )
+from relayopt.graphs import b0
 from relayopt.polys import Poly
 
 X = Poly.x()
@@ -155,3 +159,25 @@ def test_protocol_set_semantics(b0_graph):
     bigger = proto.union([("1", "3", "5")])
     assert len(bigger) == 2
     assert bigger.minus([("s", "1", "3")]) == Protocol(b0_graph, [("1", "3", "5")])
+
+
+VALUES = {
+    "graph": b0(),
+    "protocol": cfp(b0()),
+    "probabilities": EdgeProbabilityMap.with_overrides(b0(), {("s", "1"): Poly.constant(Fraction(1, 3))}),
+    "poly": Poly((0, Fraction(-1, 2), 3)),
+}
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("how", COPIES.values(), ids=COPIES.keys())
+@pytest.mark.parametrize("value", VALUES.values(), ids=VALUES.keys())
+def test_values_copy_and_pickle(value, how):
+    again = how(value)
+    assert type(again) is type(value) and again == value and hash(again) == hash(value)
+    with pytest.raises(AttributeError):
+        again.extra = None  # still immutable

@@ -24,6 +24,7 @@ from relayopt import (
     rho_hat_piecewise,
     strongly_essential_instructions,
 )
+from relayopt import optimizer
 from relayopt.cli import _piecewise_json
 from relayopt.constructions import build_breakpoint_graph, parallel, path_graph, realize
 from relayopt.optimizer import _upper_envelope
@@ -290,8 +291,10 @@ def test_b0_candidates_pruned_to_one(b0_graph):
     assert [sorted("".join(i) for i in rem) for rem, _ in candidate_polynomials(b0_graph)] == [["432"]]
 
 
-def test_candidate_cache_respects_removal_guard(b0_graph):
+def test_candidate_polynomials_respect_removal_guard(b0_graph, monkeypatch):
+    # six finiteness tests are needed on b0
+    monkeypatch.setattr(optimizer, "MAX_REMOVAL_TESTS", 6)
     candidate_polynomials(b0_graph)
-    # six finiteness tests are needed on b0; a cached answer must not hide that
+    monkeypatch.setattr(optimizer, "MAX_REMOVAL_TESTS", 5)
     with pytest.raises(GuardExceededError):
-        candidate_polynomials(b0_graph, max_tests=1)
+        candidate_polynomials(b0_graph)

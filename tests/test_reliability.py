@@ -20,9 +20,13 @@ from relayopt import (
     subset_admits_walk,
     walk_spectrum,
 )
+from relayopt import reliability
+from relayopt.asymptotics import cut_census
 from relayopt.constructions import path_graph, realize
 from relayopt.errors import GuardExceededError
+from relayopt.optimizer import candidate_polynomials
 from relayopt.polys import Poly
+from relayopt.reliability import admits_table, connectivity_table
 
 from conftest import random_connected_graph
 
@@ -178,11 +182,20 @@ def test_probmap_substitution(b0_graph, b0_cfp):
         assert poly(q) == rho_A(b0_cfp, values)(q)
 
 
-def test_scan_guard():
-    rng = random.Random(3)
-    g = random_connected_graph(rng, 3, 7)
+def test_scan_guard(monkeypatch):
+    chain = realize(path_graph(reliability.MAX_SCAN_EDGES + 2))
+    assert chain.m == reliability.MAX_SCAN_EDGES + 1
+    for scan in (rho, lambda g: rho_A(cfp(g)), lambda g: admits_table(cfp(g)), connectivity_table,
+                 candidate_polynomials, cut_census):
+        with pytest.raises(GuardExceededError):
+            scan(chain)
+    # the guard is read when a scan starts
+    g = random_connected_graph(random.Random(3), 3, 7)
+    monkeypatch.setattr(reliability, "MAX_SCAN_EDGES", g.m - 1)
     with pytest.raises(GuardExceededError):
-        rho(g, max_edges=g.m - 1)
+        rho(g)
+    monkeypatch.setattr(reliability, "MAX_SCAN_EDGES", g.m)
+    assert rho(g) == rho_by_connectivity(g)
 
 
 def test_path_spectrum_against_paths(b0_cfp):
