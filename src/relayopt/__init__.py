@@ -105,7 +105,7 @@ from .reliability import (
     subset_admits_walk,
     walk_spectrum,
 )
-from .roots import AlgebraicNumber, isolate_roots_01, multiplicity_at
+from .roots import AlgebraicNumber, isolate_roots_01, roots_with_multiplicity
 from .simulate import TrialReport, expected_copies, simulate
 
 __version__ = "0.1.0"

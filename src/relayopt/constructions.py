@@ -12,7 +12,6 @@ reliabilities and optimality between the two levels.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from .graphs import (
 )
 from .polys import Poly
 from .reliability import rho
-from .roots import AlgebraicNumber, isolate_roots_01, yun_decomposition
+from .roots import AlgebraicNumber, roots_with_multiplicity
 
 MAX_BUILD_EDGES = 64
 PROFILE_INTERVAL_WIDTH = Fraction(1, 1 << 20)
@@ -430,13 +429,9 @@ def profile(poly: Poly, max_width: Fraction = PROFILE_INTERVAL_WIDTH) -> Profile
     increasing order, isolated exactly."""
     if poly.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no profile")
-    found: list[tuple[AlgebraicNumber, int]] = []
-    for factor, mult in yun_decomposition(poly):
-        for root in isolate_roots_01(factor):
-            found.append((root, mult))
+    found = roots_with_multiplicity(poly)
     for root, _ in found:
         root.refine_below(max_width)
-    found.sort(key=functools.cmp_to_key(lambda a, b: a[0].compare(b[0])))
     return found
 
 

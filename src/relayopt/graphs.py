@@ -282,12 +282,17 @@ def require_open_unit(p0: Fraction) -> Fraction:
     return p0
 
 
-def _bernstein_coefficients(poly: Poly) -> list[Fraction]:
-    """Coefficients of ``poly`` in the degree-n Bernstein basis on [0,1],
-    n its degree: b_k = sum_{j<=k} C(k,j) / C(n,j) * a_j."""
-    n = poly.degree
-    scaled = [c / math.comb(n, j) for j, c in enumerate(poly.coeffs)]
-    return [sum(math.comb(k, j) * scaled[j] for j in range(k + 1)) for k in range(n + 1)]
+def _bernstein_in_unit(poly: Poly) -> bool:
+    """Whether every coefficient of ``poly`` in the degree-n Bernstein basis
+    on [0,1], n its degree, lies in [0,1].  For poly = num / den the k-th
+    coefficient is sum_{j<=k} C(k,j) / C(n,j) * num_j / den, and
+    C(k,j) / C(n,j) = C(n-j, k-j) / C(n,k), so the bounds are tested on
+    integers: 0 <= sum_{j<=k} C(n-j, k-j) * num_j <= C(n,k) * den."""
+    n, num, den = poly.degree, poly.num, poly.den
+    return all(
+        0 <= sum(math.comb(n - j, k - j) * num[j] for j in range(k + 1)) <= math.comb(n, k) * den
+        for k in range(n + 1)
+    )
 
 
 def _check_range(e: Edge, poly: Poly) -> None:
@@ -303,7 +308,7 @@ def _check_range(e: Edge, poly: Poly) -> None:
         if not 0 < value < 1:
             raise ProbabilityError(f"edge {e[0]}-{e[1]}: value {value} is outside (0,1)")
         return
-    if poly == Poly.x() or all(0 <= b <= 1 for b in _bernstein_coefficients(poly)):
+    if poly == Poly.x() or _bernstein_in_unit(poly):
         return
     for bound, f in ((0, poly), (1, poly - 1)):
         roots = isolate_roots_01(f)

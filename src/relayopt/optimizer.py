@@ -33,7 +33,7 @@ from .graphs import (
     TwoTerminalGraph,
     require_open_unit,
 )
-from .polys import Poly, poly_gcd
+from .polys import Poly
 from .reliability import (
     _superset_table,
     admits_table,
@@ -45,15 +45,7 @@ from .reliability import (
     rho_A,
     subset_counts,
 )
-from .roots import (
-    AlgebraicNumber,
-    count_roots,
-    isolate_roots_01,
-    multiplicity_at,
-    rational_between,
-    sturm_chain,
-    yun_decomposition,
-)
+from .roots import AlgebraicNumber, rational_between, roots_with_multiplicity
 
 RemovalSet = frozenset[Instruction]
 
@@ -342,10 +334,12 @@ def _upper_envelope(cands: list[tuple[RemovalSet, Poly]]) -> PiecewiseReliabilit
     if len(cands) == 1:
         rem, poly = cands[0]
         return PiecewiseReliability([Piece(poly, rem)], [])
-    points: list[AlgebraicNumber] = []
-    for (_, pa), (_, pb) in itertools.combinations(cands, 2):
-        points.extend(isolate_roots_01(pa - pb))
-    points = _sorted_unique_points(points)
+    # per candidate pair, the roots of their difference with multiplicities
+    crossings = {
+        (a, b): roots_with_multiplicity(cands[a][1] - cands[b][1])
+        for a, b in itertools.combinations(range(len(cands)), 2)
+    }
+    points = _sorted_unique_points([root for found in crossings.values() for root, _ in found])
     bounds: list = [Fraction(0), *points, Fraction(1)]
     samples = [rational_between(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
     winners: list[int] = []
@@ -361,36 +355,16 @@ def _upper_envelope(cands: list[tuple[RemovalSet, Poly]]) -> PiecewiseReliabilit
         rem, poly = cands[winners[run_start]]
         pieces.append(Piece(poly, rem))
         if i < len(winners):
-            root = points[i - 1]
-            diff = poly - cands[winners[i]][1]
-            order = multiplicity_at(diff, root)
+            # the two winners are equal at the switch, so it is a root of
+            # their difference
+            point = points[i - 1]
+            pair = crossings[tuple(sorted((winners[run_start], winners[i])))]
+            root, order = next((r, k) for r, k in pair if r is point or r.compare(point) == 0)
             if order % 2 == 0:
                 raise AssertionError("envelope switch with even vanishing order")
-            defining = _defining_factor(diff, root, order)
-            breakpoints.append(Breakpoint(AlgebraicNumber(defining, root.lo, root.hi, root.exact), order))
+            breakpoints.append(Breakpoint(root, order))
         run_start = i
     return PiecewiseReliability(pieces, breakpoints)
-
-
-def _defining_factor(diff: Poly, root: AlgebraicNumber, order: int) -> Poly:
-    """Square-free factor of ``diff`` vanishing at the root, refined so the
-    stored interval isolates the root within that factor."""
-    if root.exact is not None:
-        return Poly((-root.exact, 1))
-    for factor, mult in yun_decomposition(diff):
-        if mult != order:
-            continue
-        h = poly_gcd(factor, root.poly)
-        if h.degree < 1:
-            continue
-        if h(root.lo) != 0 and h(root.hi) != 0 and count_roots(sturm_chain(h), root.lo, root.hi) >= 1:
-            chain = sturm_chain(factor)
-            while count_roots(chain, root.lo, root.hi) != 1:
-                root.refine_once()
-                if root.exact is not None:
-                    return Poly((-root.exact, 1))
-            return factor
-    raise AssertionError("no square-free factor matches the breakpoint")
 
 
 def rho_hat_piecewise(

@@ -27,12 +27,13 @@ block of the table.  The polynomial is assembled from those counts.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .engine import StateGraph, _bits, _cfp_instructions, _sweep, a_paths, cfp
 from .errors import GuardExceededError
 from .graphs import Edge, EdgeProbabilityMap, Protocol, TwoTerminalGraph, edge_key
-from .polys import Poly
+from .polys import Poly, _canonical
 
 # The most edges an exhaustive subset scan takes.  A table or column over
 # 2^m subsets takes 2^m/8 bytes, and the connectivity sweep keeps about 3m
@@ -295,18 +296,6 @@ def path_spectrum(protocol: Protocol) -> tuple[int, ...]:
     return spectrum_from_table(protocol.graph.m, path_table(protocol))
 
 
-def _binomial_basis(n: int) -> list[Poly]:
-    """base[i] = p^i (1-p)^(n-i)."""
-    x = Poly.x()
-    onemx = Poly((1, -1))
-    xp = [Poly.one()]
-    op = [Poly.one()]
-    for _ in range(n):
-        xp.append(xp[-1] * x)
-        op.append(op[-1] * onemx)
-    return [xp[i] * op[n - i] for i in range(n + 1)]
-
-
 def _edge_polynomials(
     graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None
 ) -> tuple[list[Poly], list[int]]:
@@ -361,24 +350,27 @@ def polynomial_from_counts(
     counts: list[list[int]],
 ) -> Poly:
     """Assemble the polynomial whose coordinates in the subset-count basis
-    are ``counts`` (as returned by ``subset_counts``): plain p-edges
-    contribute through the binomial basis and only the overridden edges
-    are expanded pattern by pattern."""
+    are ``counts`` (as returned by ``subset_counts``).  A pattern's plain
+    part sum_i c_i p^i (1-p)^(n-i) has integer coefficients: that of p^k is
+    sum_{i<=k} c_i C(n-i, k-i) (-1)^(k-i).  Its override factor is the
+    factor of the pattern on the overridden edges before the last one,
+    times w or 1 - w of that edge."""
     wpolys, spos = _edge_polynomials(graph, probmap)
-    basis = _binomial_basis(graph.m - len(spos))
+    n = graph.m - len(spos)
+    signed = [[(-1) ** t * comb(j, t) for t in range(j + 1)] for j in range(n + 1)]
+    factors = [Poly.one()]
+    for pos in spos:
+        w = wpolys[pos]
+        rest = 1 - w
+        factors = [f * rest for f in factors] + [f * w for f in factors]
     total = Poly.zero()
-    for pat, row in enumerate(counts):
-        inner = Poly.zero()
+    for factor, row in zip(factors, counts):
+        plain = [0] * (n + 1)
         for i, c in enumerate(row):
             if c:
-                inner = inner + Poly.constant(c) * basis[i]
-        if inner.is_zero:
-            continue
-        factor = Poly.one()
-        for k, pos in enumerate(spos):
-            w = wpolys[pos]
-            factor = factor * (w if pat >> k & 1 else Poly.one() - w)
-        total = total + factor * inner
+                for k, b in enumerate(signed[n - i], i):
+                    plain[k] += c * b
+        total = total + factor * _canonical(plain, 1)
     return total
 
 

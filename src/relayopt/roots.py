@@ -8,6 +8,7 @@ crossing profiles and the breakpoint-free-interval check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +40,9 @@ def sign_variations(values: list[Fraction]) -> int:
 
 
 def count_roots(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
-    """Distinct roots in the open interval (lo, hi); endpoints must not be roots."""
+    """Distinct roots of the chain's square-free polynomial in (lo, hi]:
+    the sign variations drop by one across each root, and a root at an
+    endpoint counts as passed."""
     va = sign_variations([g(lo) for g in chain])
     vb = sign_variations([g(hi) for g in chain])
     return va - vb
@@ -176,18 +179,20 @@ class AlgebraicNumber:
             return -other.compare_rational(self.exact)
         if other.exact is not None:
             return self.compare_rational(other.exact)
+        chain = None  # of the defining polynomials' gcd, built once
         while True:
             if self.hi <= other.lo:
                 return -1
             if other.hi <= self.lo:
                 return 1
-            g = poly_gcd(self.poly, other.poly)
-            if g.degree >= 1:
+            if chain is None:
+                g = poly_gcd(self.poly, other.poly)
+                chain = sturm_chain(g) if g.degree >= 1 else []
+            if chain:
                 olo = max(self.lo, other.lo)
                 ohi = min(self.hi, other.hi)
-                if olo < ohi and g(olo) != 0 and g(ohi) != 0:
-                    if count_roots(sturm_chain(g), olo, ohi) >= 1:
-                        return 0
+                if olo < ohi and g(olo) != 0 and g(ohi) != 0 and count_roots(chain, olo, ohi) >= 1:
+                    return 0
             self.refine_once()
             other.refine_once()
             if self.exact is not None or other.exact is not None:
@@ -215,30 +220,42 @@ class AlgebraicNumber:
 
 def _roots_between(f: Poly, lo: Fraction, hi: Fraction) -> int:
     """Distinct roots of square-free ``f`` in the open interval (lo, hi);
-    unlike ``count_roots``, the endpoints may be roots."""
-    for end in (lo, hi):
-        if f(end) == 0:
-            f = f.exact_div(Poly((-end, 1)))
-    return count_roots(sturm_chain(f), lo, hi)
+    the endpoints may be roots."""
+    return count_roots(sturm_chain(f), lo, hi) - (f(hi) == 0)
 
 
 def _isolate_squarefree(f: Poly, lo: Fraction, hi: Fraction) -> list[AlgebraicNumber]:
-    """Isolate the roots of square-free ``f`` in (lo, hi); endpoints must not
-    be roots.  Rational roots hit during bisection are split off exactly."""
+    """The roots of square-free ``f`` in the open interval (lo, hi), in
+    increasing order, by bisection on one Sturm chain.  Each is an exact
+    rational (a bisection point that is a root) or the one root of ``f`` in
+    an open interval whose endpoints are not roots of ``f``; ``lo`` and
+    ``hi`` may be roots themselves (see ``count_roots``)."""
     chain = sturm_chain(f)
-    n = count_roots(chain, lo, hi)
-    if n == 0:
-        return []
-    if n == 1:
-        return [AlgebraicNumber(f, lo, hi)]
-    mid = (lo + hi) / 2
-    if f(mid) == 0:
-        reduced = f.exact_div(Poly((-mid, 1)))
-        roots = [AlgebraicNumber.rational(mid)]
-        if reduced.degree >= 1 and reduced(lo) != 0 and reduced(hi) != 0:
-            roots.extend(_isolate_squarefree(reduced, lo, hi))
-        return roots
-    return _isolate_squarefree(f, lo, mid) + _isolate_squarefree(f, mid, hi)
+
+    def probe(x: Fraction) -> tuple[Fraction, int, bool]:
+        values = [g(x) for g in chain]
+        return x, sign_variations(values), values[0] == 0
+
+    roots: list[AlgebraicNumber] = []
+    pending: list = [(probe(lo), probe(hi))]  # intervals, and exact roots between them
+    while pending:
+        item = pending.pop()
+        if isinstance(item, AlgebraicNumber):
+            roots.append(item)
+            continue
+        (a, va, za), (b, vb, zb) = item
+        inside = va - vb - zb
+        if inside == 0:
+            continue
+        if inside == 1 and not za and not zb:
+            roots.append(AlgebraicNumber(f, a, b))
+            continue
+        mid = probe((a + b) / 2)
+        pending.append((mid, (b, vb, zb)))
+        if mid[2]:
+            pending.append(AlgebraicNumber.rational(mid[0]))
+        pending.append(((a, va, za), mid))
+    return roots
 
 
 def isolate_roots_01(f: Poly) -> list[AlgebraicNumber]:
@@ -248,35 +265,29 @@ def isolate_roots_01(f: Poly) -> list[AlgebraicNumber]:
         return []
     sf = squarefree_part(f)
     zero, one = Fraction(0), Fraction(1)
+    # without its roots at 0 and 1, a root beside them needs no bisection
+    # to keep the interval's ends off them
     while sf.degree >= 1 and sf(zero) == 0:
         sf = sf.exact_div(Poly((0, 1)))
     while sf.degree >= 1 and sf(one) == 0:
         sf = sf.exact_div(Poly((-1, 1)))
     if sf.degree < 1:
         return []
-    roots = _isolate_squarefree(sf, zero, one)
-    roots.sort(key=lambda a: (a.lo, a.hi))
-    return roots
+    return _isolate_squarefree(sf, zero, one)
 
 
-def multiplicity_at(f: Poly, alpha: AlgebraicNumber) -> int:
-    """Multiplicity of ``alpha`` as a root of ``f`` (0 if not a root)."""
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    if alpha.exact is not None:
-        mult = 0
-        g = f
-        while g.degree >= 1 and g(alpha.exact) == 0:
-            g = g.exact_div(Poly((-alpha.exact, 1)))
-            mult += 1
-        return mult
-    for factor, mult in yun_decomposition(f):
-        h = poly_gcd(factor, alpha.poly)
-        if h.degree < 1:
-            continue
-        if h(alpha.lo) != 0 and h(alpha.hi) != 0 and count_roots(sturm_chain(h), alpha.lo, alpha.hi) >= 1:
-            return mult
-    return 0
+def roots_with_multiplicity(f: Poly) -> list[tuple[AlgebraicNumber, int]]:
+    """The distinct roots of ``f`` in open (0,1), increasing, each with its
+    multiplicity: for the Yun decomposition f = c * prod g_i^i, a root of
+    g_i is isolated within g_i itself (``g_i`` is its ``poly``) and has
+    multiplicity i."""
+    found = [
+        (root, mult)
+        for factor, mult in yun_decomposition(f)
+        for root in _isolate_squarefree(factor, Fraction(0), Fraction(1))
+    ]
+    found.sort(key=functools.cmp_to_key(lambda a, b: a[0].compare(b[0])))
+    return found
 
 
 def rational_between(left, right) -> Fraction:

@@ -380,6 +380,45 @@ def test_scan_guard_comes_before_path_enumeration(argv, tmp_path):
         assert json.loads(err)["error"]["code"] == "guard-exceeded"
 
 
+@pytest.mark.parametrize("argv", [
+    ["paths"], ["cfp"], ["finite"], ["finite", "--witness"], ["simulate", "--p", "1/2", "--trials", "8", "--seed", "1"],
+], ids=" ".join)
+def test_path_guard(argv):
+    """The commands that collect every s,r-path refuse K12's 9,864,101 once
+    past ``engine.MAX_PATHS``, with one guard error line."""
+    start = time.perf_counter()
+    status, out, err = run_cli(argv, K12)
+    assert time.perf_counter() - start < 5
+    assert (status, out) == (3, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"]["code"] == "guard-exceeded"
+
+
+def test_paths_within_the_path_guard():
+    k10 = json.dumps({"vertices": [str(i) for i in range(10)],
+                      "edges": [[str(i), str(j)] for i in range(10) for j in range(i + 1, 10)], "s": "0", "r": "9"})
+    start = time.perf_counter()
+    status, out, err = run_cli(["paths"], k10)
+    assert time.perf_counter() - start < 5
+    assert status == 0 and not err
+    paths = json.loads(out)["paths"]
+    assert len(paths) == 109_601 and len(set(map(tuple, paths))) == len(paths)
+
+
+def test_spfp_reduce_follows_walks_not_paths(tmp_path):
+    """spfp-reduce enumerates the protocol's walks, not the graph's paths:
+    on K12 the protocol of increasing labels (2^10 walks) is its own
+    reduction."""
+    increasing = [[str(u), str(v), str(w)] for u in range(12) for v in range(u + 1, 12) for w in range(v + 1, 12)]
+    protocol = tmp_path / "increasing.json"
+    protocol.write_text(json.dumps({"instructions": increasing}))
+    start = time.perf_counter()
+    status, out, err = run_cli(["spfp-reduce", "--protocol", str(protocol)], K12)
+    assert time.perf_counter() - start < 5
+    assert status == 0 and not err
+    assert sorted(json.loads(out)["instructions"]) == sorted(increasing)
+
+
 TINY = _graph_text(prob={"default": "p", "overrides": {"a-s": "1e-3000", "a-r": "1e-3000"}})
 TOO_LONG = {
     "reliability-at-1e-500": (["reliability", "--at", "1e-500"], b0_text()),

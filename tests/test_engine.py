@@ -3,6 +3,7 @@ import random
 import pytest
 
 from relayopt import (
+    GuardExceededError,
     InfiniteProtocolError,
     Instruction,
     Protocol,
@@ -21,8 +22,10 @@ from relayopt import (
     spfp_reduce,
     strongly_essential_instructions,
 )
+from relayopt import engine
 from relayopt.constructions import parallel, path_graph, realize
 from relayopt.engine import StateGraph, topological_order
+from relayopt.graphs import b0
 from relayopt.optimizer import circuit_instructions
 
 from conftest import brute_force_walks, random_connected_graph
@@ -65,6 +68,17 @@ def test_single_edge_path():
 
 def test_two_disjoint_routes_paths():
     assert len(enumerate_sr_paths(two_routes())) == 2
+
+
+def test_path_guard(monkeypatch):
+    graph = b0()  # a fresh graph object: each one keeps its CFP once built
+    monkeypatch.setattr(engine, "MAX_PATHS", 12)
+    assert len(enumerate_sr_paths(graph)) == 12
+    monkeypatch.setattr(engine, "MAX_PATHS", 11)
+    with pytest.raises(GuardExceededError):
+        enumerate_sr_paths(graph)
+    with pytest.raises(GuardExceededError):
+        cfp(graph)
 
 
 # -- CFP ---------------------------------------------------------------------

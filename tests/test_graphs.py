@@ -1,6 +1,9 @@
 import copy
 import json
+import math
 import pickle
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +24,7 @@ from relayopt import (
     protocol_json,
     validate_graph,
 )
-from relayopt.graphs import b0
+from relayopt.graphs import _bernstein_in_unit, b0, edge_key
 from relayopt.polys import Poly
 
 X = Poly.x()
@@ -113,6 +116,63 @@ def test_probability_range_check_is_exact(b0_graph):
     # values stay inside (0,1): accepted by the root-isolation fallback
     wiggle = Fraction(1, 2) + 4 * (X - Fraction(1, 4)) * (X - Fraction(1, 2)) * (X - Fraction(3, 4))
     EdgeProbabilityMap.with_overrides(b0_graph, {("s", "1"): wiggle})
+
+
+def _from_bernstein(coeffs):
+    """sum_k b_k C(n,k) p^k (1-p)^(n-k) for the given b_0..b_n."""
+    n = len(coeffs) - 1
+    return sum((b * math.comb(n, k) * X ** k * (1 - X) ** (n - k) for k, b in enumerate(coeffs)), Poly.zero())
+
+
+def _bernstein_reference(poly):
+    """Bernstein coefficients by the Fraction formula
+    b_k = sum_{j<=k} C(k,j) / C(n,j) * a_j, n the degree."""
+    n = poly.degree
+    return [sum(math.comb(k, j) * poly.coefficient(j) / math.comb(n, j) for j in range(k + 1)) for k in range(n + 1)]
+
+
+def test_integer_bernstein_criterion_matches_fraction_formula():
+    tiny = Fraction(1, 10 ** 30)
+    exact = [  # coefficients exactly 0 or 1, and just past them
+        (X, True), (X * X, True), (2 * X - X * X, True), (X ** 12, True), (1 - (1 - X) ** 12, True),
+        (_from_bernstein([0, 1, 0, 1]), True), (_from_bernstein([0, 1 + tiny, 1]), False),
+        (_from_bernstein([-tiny, 1, 1]), False), (_from_bernstein([0, Fraction(1, 2), -tiny, 1]), False),
+    ]
+    for poly, expected in exact:
+        assert all(0 <= b <= 1 for b in _bernstein_reference(poly)) == expected
+        assert _bernstein_in_unit(poly) == expected
+    rng = random.Random(1309)
+    pool = [Fraction(0), Fraction(1), Fraction(1, 3), -Fraction(1, 97), Fraction(98, 97)]
+    seen = Counter()
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        if rng.random() < 0.3:
+            poly = Poly([Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n + 1)])
+        else:
+            poly = _from_bernstein([rng.choice(pool) if rng.random() < 0.5 else Fraction(rng.randint(0, 12), 12)
+                                    for _ in range(n + 1)])
+        if poly.degree < 1:
+            continue
+        reference = _bernstein_reference(poly)
+        expected = all(0 <= b <= 1 for b in reference)
+        assert _bernstein_in_unit(poly) == expected, poly
+        seen[expected, 0 in reference or 1 in reference] += 1
+    assert all(seen[key] >= 20 for key in ((True, True), (True, False), (False, True), (False, False))), seen
+
+
+def test_bernstein_bounds_through_parse_graph():
+    key = "-".join(edge_key("s", "1"))
+    # Bernstein coefficients 0, 1, 0, 1: in [0,1], so accepted without root isolation
+    inside = _from_bernstein([0, 1, 0, 1])
+    obj = dict(graph_json(b0()), prob={"overrides": {key: inside.to_strings()}})
+    _, probmap = parse_graph(obj)
+    assert probmap.poly("s", "1") == inside
+    # 0, 1, 11/10, 1: the value at p = 4/5 is 644/625
+    outside = _from_bernstein([0, 1, Fraction(11, 10), 1])
+    assert outside(Fraction(4, 5)) == Fraction(644, 625)
+    obj = dict(graph_json(b0()), prob={"overrides": {key: outside.to_strings()}})
+    with pytest.raises(ProbabilityError, match="reaches 1"):
+        parse_graph(obj)
 
 
 def test_probability_range_accepts_inserted_reliabilities(b0_graph):

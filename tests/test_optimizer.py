@@ -298,3 +298,44 @@ def test_candidate_polynomials_respect_removal_guard(b0_graph, monkeypatch):
     monkeypatch.setattr(optimizer, "MAX_REMOVAL_TESTS", 5)
     with pytest.raises(GuardExceededError):
         candidate_polynomials(b0_graph)
+
+
+# -- envelope breakpoints ----------------------------------------------------------------
+
+GOLDEN = X * X + X - 1  # root (sqrt(5) - 1)/2 in (0,1)
+
+
+@pytest.mark.parametrize("a, b", [(1, 3), (3, 1), (1, 1), (3, 3)])
+def test_envelope_reports_crossing_orders_and_defining_factors(a, b):
+    """Two candidates whose difference is
+    c * p^2 (p - 1) (p + 2) (p - 1/3)^a (p^2 + p - 1)^b: the envelope
+    switches exactly at 1/3 with order a and at the golden root with order
+    b, and each breakpoint's polynomial is the square-free factor of the
+    difference holding every root of that multiplicity."""
+    third = Fraction(1, 3)
+    factors = [(X, 2), (X - 1, 1), (X + 2, 1), (X - third, a), (GOLDEN, b)]
+    diff = Poly.constant(Fraction(-5, 7))
+    for factor, mult in factors:
+        diff = diff * factor ** mult
+
+    def defining(order):
+        product = Poly.one()
+        for factor, mult in factors:
+            if mult == order:
+                product = product * factor
+        return product
+
+    low = X ** 3 * ONEMX
+    cands = [(frozenset({"low"}), low), (frozenset({"high"}), low + diff)]
+    envelope = _upper_envelope(cands)
+    assert [piece.removed for piece in envelope.pieces] == [frozenset({"high"}), frozenset({"low"}),
+                                                            frozenset({"high"})]
+    first, second = envelope.breakpoints
+    assert first.order == a and first.root.poly == defining(a)
+    assert first.root.compare_rational(third) == 0
+    assert second.order == b and second.root.poly == defining(b)
+    golden = AlgebraicNumber(GOLDEN, Fraction(1, 2), Fraction(1))
+    assert second.root.compare(golden) == 0
+    for bp in envelope.breakpoints:
+        lo, hi = bp.root.dyadic_cell(Fraction(1, 1 << 20))
+        assert bp.root.poly(lo) * bp.root.poly(hi) < 0

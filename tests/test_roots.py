@@ -7,8 +7,8 @@ from relayopt.roots import (
     AlgebraicNumber,
     count_roots,
     isolate_roots_01,
-    multiplicity_at,
     rational_between,
+    roots_with_multiplicity,
     sturm_chain,
     yun_decomposition,
 )
@@ -56,13 +56,15 @@ def test_yun_and_multiplicity():
     f = (X - Fraction(1, 2)) ** 3 * (X - Fraction(1, 4)) ** 2 * (X + 1)
     decomp = dict((m, g) for g, m in yun_decomposition(f))
     assert set(decomp) == {1, 2, 3}
-    half = AlgebraicNumber.rational(Fraction(1, 2))
-    quarter = AlgebraicNumber.rational(Fraction(1, 4))
-    assert multiplicity_at(f, half) == 3
-    assert multiplicity_at(f, quarter) == 2
-    assert multiplicity_at(f, AlgebraicNumber.rational(Fraction(3, 4))) == 0
+    found = roots_with_multiplicity(f)
+    assert [mult for _, mult in found] == [2, 3]
+    (quarter, _), (half, _) = found
+    assert quarter.equals_rational(Fraction(1, 4)) and half.equals_rational(Fraction(1, 2))
+    assert not any(root.equals_rational(Fraction(3, 4)) for root, _ in found)
     golden = isolate_roots_01(GOLDEN)[0]
-    assert multiplicity_at(GOLDEN * GOLDEN * (X - Fraction(1, 5)), golden) == 2
+    found = roots_with_multiplicity(GOLDEN * GOLDEN * (X - Fraction(1, 5)))
+    assert [mult for _, mult in found] == [1, 2]
+    assert found[1][0].compare(golden) == 0 and found[1][0].poly == GOLDEN
 
 
 def test_comparisons_across_polynomials():
