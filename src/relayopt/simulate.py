@@ -11,16 +11,27 @@ decided for the whole block by one reachability sweep over the protocol's
 state graph, ``reach[j] |= reach[i] & column[edge of j]``, run to a
 fixpoint, so infinite protocols need no special case and no cost grows
 with 2^m.
+
+Copies are counted bit-sliced over the same columns.  The useful states
+of a finite protocol form a DAG; each holds its number of surviving walks
+as bit planes (bit t of plane k is bit k of the count in trial t), filled
+in reverse topological order: a state's planes are the ripple-carry sum of
+its successors' planes, plus one plane of every trial if it is accepting,
+each ANDed with the column of its edge.  The block's histogram splits its
+trials by the planes of the initial states' sum, most significant first,
+with one popcount per distinct count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
+import struct
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
+from itertools import repeat
 
 from .engine import StateGraph, _sweep, a_walks, is_finite, topological_order
 from .errors import GuardExceededError, InfiniteProtocolError
@@ -32,8 +43,8 @@ BLOCK = 512  # trials sampled and swept together
 _CHUNK = 4  # bytes of hash output per edge
 _SCALE = 1 << (8 * _CHUNK)
 _PER_DIGEST = 64 // _CHUNK  # edges per digest
-_MEMO_MASKS = 1 << 16  # walk counts kept for copy counting
 _binary = partial(int, base=2)
+_message = struct.Struct(">QH").pack  # (trial index, 16-edge block)
 SEED_MIN, SEED_MAX = -(1 << 63), (1 << 63) - 1  # seeds key BLAKE2b as 8 signed bytes
 
 
@@ -65,18 +76,18 @@ def _survival_digits(base, m: int, threshold: int, first: int, stop: int) -> lis
 
     The words are compared by their top byte first, with one ``translate``
     per edge; only the trials whose top byte ties the threshold's (1 in
-    256) compare the remaining three bytes one by one."""
+    256) compare the remaining three bytes one by one.  Each block's
+    digests are drawn by ``map`` over the hash type's own methods, so no
+    Python code runs per trial."""
     top, low = divmod(threshold, 1 << 24)
     by_top = b"1" * top + b"?" + b"0" * (255 - top)
+    kind = type(base)
+    n = stop - first
     digits = []
     for blk in range((m + _PER_DIGEST - 1) // _PER_DIGEST):
-        tail = blk.to_bytes(2, "big")
-        digests = []
-        for t in range(first, stop):
-            h = base.copy()
-            h.update(t.to_bytes(8, "big") + tail)
-            digests.append(h.digest())
-        stream = b"".join(digests)
+        hashes = list(map(kind.copy, repeat(base, n)))
+        deque(map(kind.update, hashes, map(_message, range(first, stop), repeat(blk, n))), maxlen=0)
+        stream = b"".join(map(kind.digest, hashes))
         for at in range(0, _CHUNK * min(_PER_DIGEST, m - blk * _PER_DIGEST), _CHUNK):
             row = stream[at::64].translate(by_top)
             tie = row.find(b"?")
@@ -111,28 +122,52 @@ class _StateSweep:
         each edge's survival column."""
         return _sweep(self.succ, [columns[e] for e in self.edge], self.initial, self.accepting)
 
-    def walk_counter(self):
-        """A function from an edge mask to its number of surviving walks,
-        memoised on the most recent ``_MEMO_MASKS`` masks.  The useful
-        states of a finite protocol form a DAG; counts are filled in
-        reverse topological order."""
-        succ = self.succ
+    def copy_counts(self, columns: list[int], trials: int) -> dict[int, int]:
+        """Histogram of the number of surviving protocol walks over the
+        trials of the bitset ``trials``, given each edge's survival column.
+        Needs the topological order, so the protocol must be finite."""
         accepting = set(self.accepting)
-        plan = [(i, 1 << self.edge[i], int(i in accepting), succ[i]) for i in reversed(self.order)]
-        initial = self.initial
+        planes: list[list[int]] = [[] for _ in self.succ]
+        for i in reversed(self.order):
+            total = [trials] if i in accepting else []
+            for j in self.succ[i]:
+                total = _add(total, planes[j])
+            col = columns[self.edge[i]]
+            planes[i] = [p & col for p in total]
+        total = []
+        for i in self.initial:
+            total = _add(total, planes[i])
+        groups = {0: trials}
+        for k in reversed(range(len(total))):
+            plane, split = total[k], {}
+            for count, where in groups.items():
+                high = where & plane
+                if high:
+                    split[count | 1 << k] = high
+                if high != where:
+                    split[count] = where ^ high
+            groups = split
+        return {count: where.bit_count() for count, where in groups.items()}
 
-        @lru_cache(maxsize=_MEMO_MASKS)
-        def count(mask: int) -> int:
-            walks = [0] * len(succ)
-            for i, bit, delivers, nxt in plan:
-                if mask & bit:
-                    total = delivers
-                    for j in nxt:
-                        total += walks[j]
-                    walks[i] = total
-            return sum([walks[i] for i in initial])
 
-        return count
+def _add(a: list[int], b: list[int]) -> list[int]:
+    """Ripple-carry sum of two per-trial counts held as bit planes, least
+    significant plane first."""
+    if len(a) < len(b):
+        a, b = b, a
+    out, carry = [], 0
+    for k, x in enumerate(a):
+        if k < len(b):
+            y = b[k]
+        elif carry:
+            y = 0
+        else:
+            return out + a[k:]
+        out.append(x ^ y ^ carry)
+        carry = x & y | carry & (x ^ y)
+    if carry:
+        out.append(carry)
+    return out
 
 
 def simulate(
@@ -153,24 +188,19 @@ def simulate(
         raise InfiniteProtocolError("copy counting needs a finite protocol")
     m = protocol.graph.m
     sweep = _StateSweep(protocol)
-    count = sweep.walk_counter() if count_copies else None
     threshold = (p0.numerator * _SCALE) // p0.denominator
     base = hashlib.blake2b(key=seed.to_bytes(8, "big", signed=True), digest_size=64)
     deliveries = 0
     histogram: Counter[int] = Counter()
     for first in range(0, trials, BLOCK):
         stop = min(first + BLOCK, trials)
-        digits = _survival_digits(base, m, threshold, first, stop)
-        deliveries += sweep.delivered([_binary(d[::-1]) for d in digits]).bit_count()
-        if count is not None:
-            # Most significant digit first: edge m-1 down to edge 0, behind
-            # a leading 0 so that m = 0 still yields one mask per trial.
-            masks = Counter(map(bytes, zip(b"0" * (stop - first), *reversed(digits))))
-            for mask, n in masks.items():
-                c = count(_binary(mask))
-                if c > COPY_CAP:
-                    raise GuardExceededError(f"more than {COPY_CAP} surviving walks in one trial")
-                histogram[c] += n
+        columns = [_binary(d[::-1]) for d in _survival_digits(base, m, threshold, first, stop)]
+        deliveries += sweep.delivered(columns).bit_count()
+        if count_copies:
+            counts = sweep.copy_counts(columns, (1 << (stop - first)) - 1)
+            if max(counts) > COPY_CAP:
+                raise GuardExceededError(f"more than {COPY_CAP} surviving walks in one trial")
+            histogram.update(counts)
     estimate = Fraction(deliveries, trials)
     stderr = math.sqrt(float(estimate * (1 - estimate)) / trials)
     return TrialReport(trials, deliveries, estimate, stderr, dict(histogram) if count_copies else None)

@@ -84,6 +84,20 @@ def brute_force_walks(protocol: Protocol, cap_edges: int) -> list[tuple[str, ...
     return found
 
 
+def diamond_chain(k: int) -> tuple[TwoTerminalGraph, Protocol]:
+    """A chain of ``k`` diamonds v_i -> {a_i, b_i} -> v_{i+1} (4k edges,
+    2^k forward s,r-paths) and its forward protocol, whose walks are exactly
+    those paths."""
+    hubs = [f"v{i}" for i in range(k + 1)]
+    sides = [(f"a{i}", f"b{i}") for i in range(k)]
+    edges = [(hubs[i], x) for i in range(k) for x in sides[i]]
+    edges += [(x, hubs[i + 1]) for i in range(k) for x in sides[i]]
+    forward = [(hubs[i], x, hubs[i + 1]) for i in range(k) for x in sides[i]]
+    forward += [(x, hubs[i + 1], y) for i in range(k - 1) for x in sides[i] for y in sides[i + 1]]
+    graph = TwoTerminalGraph(hubs + [x for pair in sides for x in pair], edges, hubs[0], hubs[-1])
+    return graph, Protocol(graph, forward)
+
+
 def contains_instruction_set(path: tuple[str, ...], protocol: Protocol) -> bool:
     return all(i in protocol.instructions for i in instructions_in(path))
 

@@ -13,6 +13,8 @@ from relayopt.cli import build_parser, main
 from relayopt.constructions import path_graph
 from relayopt.graphs import EdgeProbabilityMap, TwoTerminalGraph, b0, graph_json, protocol_json
 
+from conftest import diamond_chain
+
 
 def run_cli(argv, stdin_text=""):
     out, err = io.StringIO(), io.StringIO()
@@ -417,6 +419,22 @@ def test_spfp_reduce_follows_walks_not_paths(tmp_path):
     assert time.perf_counter() - start < 5
     assert status == 0 and not err
     assert sorted(json.loads(out)["instructions"]) == sorted(increasing)
+
+
+def test_copy_cap_on_a_diamond_chain(tmp_path):
+    """A chain of 20 diamonds has 2^20 forward walks, past the cap of 10^6
+    copies in one trial: at p = 999/1000 most trials keep every edge."""
+    graph, forward = diamond_chain(20)
+    protocol = tmp_path / "forward.json"
+    protocol.write_text(json.dumps(protocol_json(forward)))
+    argv = ["simulate", "--p", "999/1000", "--trials", "10000", "--seed", "1", "--copies", "--protocol", str(protocol)]
+    start = time.perf_counter()
+    status, out, err = run_cli(argv, json.dumps(graph_json(graph)))
+    assert time.perf_counter() - start < 5
+    assert (status, out) == (3, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["code"] == "guard-exceeded" and "surviving walks" in error["message"]
 
 
 TINY = _graph_text(prob={"default": "p", "overrides": {"a-s": "1e-3000", "a-r": "1e-3000"}})

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from relayopt import (
+    GuardExceededError,
     InfiniteProtocolError,
     ProbabilityError,
+    Protocol,
     TwoTerminalGraph,
     a_walks,
     bounded_protocol,
@@ -22,7 +26,7 @@ from relayopt.graphs import b0, edge_key
 from relayopt.polys import Poly
 from relayopt.reliability import subset_admits_walk
 
-from conftest import random_connected_graph
+from conftest import diamond_chain, random_connected_graph
 
 X = Poly.x()
 HALF = Fraction(1, 2)
@@ -183,3 +187,60 @@ def test_differential_against_per_trial_oracle():
     assert 0 < finite.count(False) < len(finite)
     assert not check_against_oracle(cfp(M17_GRAPH), Fraction(3, 7), 1100, seed=5)
     assert check_against_oracle(bounded_protocol(M17_GRAPH, 3), Fraction(4, 5), 700, seed=-3)
+
+
+def test_copy_cap_admits_exactly_the_cap(monkeypatch):
+    # The golden copies report's largest count is 6.
+    module = importlib.import_module("relayopt.simulate")
+    proto = bounded_protocol(b0(), 4)
+    monkeypatch.setattr(module, "COPY_CAP", 6)
+    report = simulate(proto, Fraction(5, 8), 3001, seed=11, count_copies=True)
+    assert max(report.copies) == 6
+    monkeypatch.setattr(module, "COPY_CAP", 5)
+    with pytest.raises(GuardExceededError):
+        simulate(proto, Fraction(5, 8), 3001, seed=11, count_copies=True)
+
+
+def test_copies_without_any_walk():
+    # s and r of b0 are not adjacent, so the empty protocol has no walk.
+    proto = Protocol(b0(), ())
+    for trials in (1, 513):
+        assert check_against_oracle(proto, Fraction(1, 2), trials, seed=8)
+        assert simulate(proto, Fraction(1, 2), trials, seed=8, count_copies=True).copies == {0: trials}
+
+
+@pytest.mark.parametrize("trials", [1, 511, 512, 513])
+def test_copies_at_block_edges(trials):
+    assert check_against_oracle(bounded_protocol(b0(), 4), Fraction(5, 8), trials, seed=trials)
+
+
+def test_bit_plane_sum():
+    """``_add`` against integer addition, trial by trial, on planes with
+    zero low planes and unequal lengths."""
+    add = importlib.import_module("relayopt.simulate")._add
+    rng = random.Random(6)
+
+    def planes(counts):
+        return [sum((c >> k & 1) << t for t, c in enumerate(counts)) for k in range(max(counts).bit_length())]
+
+    for _ in range(300):
+        a = [rng.choice([0, 1, 2, 4, 7, rng.randrange(1 << rng.randint(1, 12))]) for _ in range(40)]
+        b = [rng.choice([0, 2, 8, 16, rng.randrange(1 << rng.randint(1, 12))]) for _ in range(40)]
+        assert add(planes(a), planes(b)) == planes([x + y for x, y in zip(a, b)])
+
+
+def test_copies_on_a_diamond_chain():
+    """Each trial's count is the product, over the diamonds, of the number
+    of the diamond's two branches whose both edges survive."""
+    graph, proto = diamond_chain(12)
+    position = {e: j for j, e in enumerate(graph.edge_list())}
+    branches = [[(position[edge_key(f"v{i}", x)], position[edge_key(x, f"v{i + 1}")]) for x in (f"a{i}", f"b{i}")]
+                for i in range(12)]
+    p0, trials = Fraction(9, 10), 1100
+    expected = Counter(
+        math.prod(sum(mask >> j & mask >> k & 1 for j, k in pair) for pair in branches)
+        for mask in reference_masks(graph.m, p0, trials, seed=12)
+    )
+    report = simulate(proto, p0, trials, seed=12, count_copies=True)
+    assert report.copies == dict(expected)
+    assert max(report.copies) > 1000  # the counts take many bit planes
