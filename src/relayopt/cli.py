@@ -151,8 +151,9 @@ def build_parser() -> _Parser:
     p.add_argument("--at")
 
     p = sub.add_parser("rho-hat")
-    p.add_argument("--at")
-    p.add_argument("--piecewise", action="store_true")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--at")
+    one.add_argument("--piecewise", action="store_true")
 
     p = sub.add_parser("discrepancy")
     p.add_argument("--remove", required=True)

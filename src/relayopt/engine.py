@@ -169,6 +169,18 @@ def _sweep(
     return got
 
 
+def _useful(succ: Sequence[int], pred: Sequence[int], start: int, accepting: int) -> int:
+    """Bitmask of the states reachable from ``start`` along the successor
+    masks ``succ`` and reaching ``accepting``, whose predecessor masks are
+    ``pred``."""
+    return _closure(start, succ) & _closure(accepting, pred)
+
+
+def _essential(succ: Sequence[int], useful: int) -> list[int]:
+    """The successor masks cut to the transitions between useful states."""
+    return [mask & useful if useful >> i & 1 else 0 for i, mask in enumerate(succ)]
+
+
 def topological_order(adjacency: Sequence[int]) -> list[int] | None:
     """Every state, each before its successors in ``adjacency`` (one
     successor bitmask per state), or None when the masks contain a cycle."""
@@ -241,14 +253,16 @@ class StateGraph:
     def useful(self) -> int:
         """Bitmask of the states on some initial-to-accepting state walk:
         reachable from an initial state and co-reaching an accepting one."""
-        start = sum(1 << i for i in self.initial)
-        return _closure(start, self.succ) & _closure(self.accepting, _predecessors(self.succ))
+        return _useful(self.succ, _predecessors(self.succ), self.initial_mask, self.accepting)
+
+    @property
+    def initial_mask(self) -> int:
+        return sum(1 << i for i in self.initial)
 
     def essential(self) -> list[int]:
         """Successor masks of the essential transitions, those lying on some
         initial-to-accepting state walk: both ends useful."""
-        useful = self.useful()
-        return [mask & useful if useful >> i & 1 else 0 for i, mask in enumerate(self.succ)]
+        return _essential(self.succ, self.useful())
 
     def circuit_transitions(self) -> list[tuple[int, int]]:
         """Essential transitions i -> j lying on an essential circuit, i.e.
@@ -356,7 +370,7 @@ def a_walks(protocol: Protocol) -> list[Walk]:
     # One mask of untried successors per state on the path, below a first
     # mask of the initial states; a state is recorded when it is entered.
     path: list[int] = []
-    pending = [sum(1 << i for i in sg.initial)]
+    pending = [sg.initial_mask]
     while pending:
         rest = pending[-1]
         if not rest:

@@ -19,11 +19,16 @@ from typing import Iterable, Sequence
 
 from .engine import (
     StateGraph,
+    _bits,
+    _essential,
+    _predecessors,
+    _useful,
     cfp,
     enumerate_sr_paths,
     instructions_in,
     is_finite,
     spfp_reduce,
+    topological_order,
 )
 from .errors import GuardExceededError, InstructionError, RelayoptError
 from .graphs import (
@@ -115,18 +120,115 @@ def discrepancy(
 # Minimal removal sets
 # ---------------------------------------------------------------------------
 
+class _RemovalSpace:
+    """The CFP's state graph, built once, with its circuit-borne
+    transitions numbered in the order of their instructions: bit k of a
+    removal mask removes the k-th.  Removing a set clears its transitions
+    from the successor and predecessor masks; no protocol or state graph is
+    rebuilt."""
+
+    __slots__ = ("succ", "pred", "circuit", "start", "accepting", "moves", "instructions")
+
+    def __init__(self, graph: TwoTerminalGraph):
+        sg = StateGraph(cfp(graph))
+        by_instruction = sorted((sg.instruction_of(i, j), i, j) for i, j in sg.circuit_transitions())
+        self.succ = sg.succ
+        self.pred = _predecessors(sg.succ)
+        self.start = sg.initial_mask
+        self.accepting = sg.accepting
+        self.moves = [(i, j) for _, i, j in by_instruction]
+        self.instructions = [ins for ins, _, _ in by_instruction]
+        circuit = [0] * len(sg.succ)
+        for i, j in self.moves:
+            circuit[i] |= 1 << j
+        self.circuit = tuple(circuit)
+
+    def _without(self, removed: int) -> tuple[list[int], list[int], int]:
+        """Successor and circuit masks of the CFP without the removed
+        transitions, and its useful states."""
+        succ = list(self.succ)
+        pred = list(self.pred)
+        circuit = list(self.circuit)
+        for k in _bits(removed):
+            i, j = self.moves[k]
+            succ[i] &= ~(1 << j)
+            pred[j] &= ~(1 << i)
+            circuit[i] &= ~(1 << j)
+        return succ, circuit, _useful(succ, pred, self.start, self.accepting)
+
+    def is_finite(self, removed: int) -> bool:
+        """Whether the CFP without the removed transitions is finite.  An
+        essential circuit of it is one of the CFP's too, so only the
+        remaining circuit-borne transitions between useful states are
+        ordered."""
+        _, circuit, useful = self._without(removed)
+        return topological_order(_essential(circuit, useful)) is not None
+
+    def essential_mask(self, removal: RemovalSet) -> int:
+        """The essential transitions of the CFP without ``removal``, as one
+        int: bit i * n + j stands for the transition from state i to j."""
+        succ, _, useful = self._without(sum(1 << self.instructions.index(ins) for ins in removal))
+        width = len(succ)
+        return sum(mask << i * width for i, mask in enumerate(_essential(succ, useful)))
+
+    def minimal_removals(self) -> list[RemovalSet]:
+        """All inclusion-minimal removal sets leaving the CFP finite, sorted,
+        by a levelwise search (Mannila & Toivonen 1997): a k-set is tested
+        only when each of its (k-1)-subsets was tested and left the CFP
+        infinite.  Those are exactly the k-sets containing no set found
+        before, so the tests are those of trying every combination in turn
+        and skipping the ones that contain a found set.  Refused past
+        ``MAX_REMOVAL_TESTS`` tests."""
+        if self.is_finite(0):
+            return [frozenset()]
+        found: list[RemovalSet] = []
+        tests = 0
+        level = [1 << k for k in range(len(self.moves))]
+        while level:
+            still_open: list[int] = []
+            for removed in level:
+                tests += 1
+                if tests > MAX_REMOVAL_TESTS:
+                    raise GuardExceededError(f"removal search exceeded {MAX_REMOVAL_TESTS} finiteness tests")
+                if self.is_finite(removed):
+                    found.append(frozenset(self.instructions[k] for k in _bits(removed)))
+                else:
+                    still_open.append(removed)
+            level = _next_level(still_open)
+        return sorted(found, key=_removal_sort_key)
+
+
+def _next_level(level: list[int]) -> list[int]:
+    """The (k+1)-sets all of whose k-subsets are in ``level``, from the
+    k-sets of ``level`` in lexicographic order, and in that order
+    themselves: each joins two sets of ``level`` that differ only in their
+    greatest element (Apriori's join), then looks up its other k-subsets."""
+    members = set(level)
+    out = []
+    for prefix, group in itertools.groupby(level, key=lambda mask: mask ^ 1 << mask.bit_length() - 1):
+        group = list(group)
+        drops = [1 << k for k in _bits(prefix)]
+        for a, low in enumerate(group):
+            for high in group[a + 1:]:
+                joined = low | high
+                if all(joined ^ bit in members for bit in drops):
+                    out.append(joined)
+    return out
+
+
 def circuit_instructions(graph: TwoTerminalGraph) -> list[Instruction]:
     """CFP instructions lying on at least one essential circuit: the
     essential transitions whose end reaches back to their start."""
-    sg = StateGraph(cfp(graph))
-    return sorted(sg.instruction_of(i, j) for i, j in sg.circuit_transitions())
+    return _RemovalSpace(graph).instructions
 
 
 def _minimal_removal_family(astar: Protocol, candidates: Sequence[Instruction]) -> list[RemovalSet]:
     """All inclusion-minimal subsets of the candidates whose removal leaves
     the CFP finite, by increasing-size search with finiteness re-checked
     after every removal (essentiality shifts as instructions disappear);
-    refused past ``MAX_REMOVAL_TESTS`` finiteness tests."""
+    refused past ``MAX_REMOVAL_TESTS`` finiteness tests.  It rebuilds a
+    protocol per test and shares no code with the masked search, so it is
+    the reference of ``brute_force_rho_hat`` and of the tests."""
     if is_finite(astar):
         return [frozenset()]
     found: list[RemovalSet] = []
@@ -149,11 +251,10 @@ def _minimal_removal_family(astar: Protocol, candidates: Sequence[Instruction]) 
 
 
 def minimal_removal_sets(graph: TwoTerminalGraph) -> list[RemovalSet]:
-    """Minimal circuit-borne removal sets making the CFP finite.  Removing
-    every circuit-borne instruction always succeeds, so the family is
-    nonempty; for a finite CFP it is the single empty set."""
-    astar = cfp(graph)
-    return _minimal_removal_family(astar, circuit_instructions(graph))
+    """Minimal circuit-borne removal sets making the CFP finite, sorted.
+    Removing every circuit-borne instruction always succeeds, so the family
+    is nonempty; for a finite CFP it is the single empty set."""
+    return _RemovalSpace(graph).minimal_removals()
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +274,24 @@ def candidate_polynomials(
     so every basis term is positive on (0,1): a candidate whose counts are
     coordinatewise at most another's is strictly below it everywhere in
     (0,1), can neither win the pointwise maximum nor lie on the upper
-    envelope, and is dropped before any polynomial is assembled."""
+    envelope, and is dropped before any polynomial is assembled.
+
+    A removal set whose protocol's essential transitions all are essential
+    for an earlier set's protocol builds no table: every walk of the one is
+    a walk of the other, so its counts equal the earlier ones (whose
+    witness is kept) or are dominated by them."""
     check_scan_guard(graph.m)
     astar = cfp(graph)
+    space = _RemovalSpace(graph)
+    tabled: list[int] = []
     # Removal sets arrive sorted, so the first one kept is the least.
     by_counts: dict[tuple[int, ...], tuple[RemovalSet, list[list[int]]]] = {}
     for removal in minimal_removal_sets(graph):
+        essential = space.essential_mask(removal)
+        # a set subsumed by a skipped set is subsumed by a tabled one
+        if any(not essential & ~earlier for earlier in tabled):
+            continue
+        tabled.append(essential)
         counts = subset_counts(graph, probmap, admits_table(astar.minus(removal)))
         by_counts.setdefault(tuple(itertools.chain.from_iterable(counts)), (removal, counts))
     best: dict[Poly, RemovalSet] = {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import string
 
 import pytest
 
@@ -42,6 +43,34 @@ def random_connected_graph(rng: random.Random, max_extra: int = 4, max_edges: in
         graph = TwoTerminalGraph(verts, pairs[:budget], "s", "r")
         if "r" in graph.distances_from("s"):
             return graph
+
+
+def random_graph(rng: random.Random, m: int) -> TwoTerminalGraph:
+    """A simple graph on s, r and a few more vertices with exactly m edges,
+    s and r not necessarily connected."""
+    n = 2
+    while n * (n - 1) // 2 < m:
+        n += 1
+    n += rng.randint(0, 2)
+    verts = ["s", "r"] + [f"v{i}" for i in range(n - 2)]
+    pairs = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]]
+    return TwoTerminalGraph(verts, rng.sample(pairs, m), "s", "r")
+
+
+def relabeled(graph: TwoTerminalGraph, rng: random.Random) -> TwoTerminalGraph:
+    """The graph with every vertex, s and r included, renamed to a random
+    letter: the renaming reorders states, instructions and removal sets."""
+    names = dict(zip(sorted(graph.vertices), rng.sample(string.ascii_lowercase, len(graph.vertices))))
+    return TwoTerminalGraph(names.values(), [(names[u], names[v]) for u, v in graph.edge_list()],
+                            names[graph.s], names[graph.r])
+
+
+def grid(rows: int, cols: int) -> TwoTerminalGraph:
+    """The rows x cols grid, from its top left to its bottom right corner."""
+    name = [[f"{i}.{j}" for j in range(cols)] for i in range(rows)]
+    edges = [(name[i][j], name[i][j + 1]) for i in range(rows) for j in range(cols - 1)]
+    edges += [(name[i][j], name[i + 1][j]) for i in range(rows - 1) for j in range(cols)]
+    return TwoTerminalGraph([v for row in name for v in row], edges, name[0][0], name[-1][-1])
 
 
 def random_sptree(rng: random.Random, budget: int, depth: int = 0) -> SPTree:

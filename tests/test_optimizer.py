@@ -8,6 +8,7 @@ from relayopt import (
     GuardExceededError,
     InstructionError,
     RelayoptError,
+    TwoTerminalGraph,
     breakpoint_free_check,
     brute_force_rho_hat,
     candidate_polynomials,
@@ -27,11 +28,13 @@ from relayopt import (
 from relayopt import optimizer
 from relayopt.cli import _piecewise_json
 from relayopt.constructions import build_breakpoint_graph, parallel, path_graph, realize
-from relayopt.optimizer import _upper_envelope
+from relayopt.engine import StateGraph, _bits, essential_instructions
+from relayopt.optimizer import _minimal_removal_family, _upper_envelope
 from relayopt.polys import Poly
+from relayopt.reliability import admits_table
 from relayopt.roots import AlgebraicNumber
 
-from conftest import random_connected_graph, random_sptree
+from conftest import grid, random_connected_graph, random_graph, random_sptree, relabeled
 
 X = Poly.x()
 ONEMX = Poly((1, -1))
@@ -124,6 +127,56 @@ def test_minimal_removals_series_parallel():
 def test_minimal_removals_finite_cfp():
     g = realize(path_graph(4))
     assert minimal_removal_sets(g) == [frozenset()]
+
+
+def _check_masked_search(graph):
+    assert minimal_removal_sets(graph) == _minimal_removal_family(cfp(graph), circuit_instructions(graph))
+
+
+def test_masked_removal_search_matches_the_protocol_search(b0_graph):
+    """The levelwise search over transition masks finds what the search
+    that rebuilds a protocol per removal set finds, in the same order, on
+    inputs whose renaming reorders the candidates.  The reference tries
+    every combination of candidates, so the random graphs keep to at most
+    14 of them (16 take it about 4 s)."""
+    rng = random.Random(1997)
+    for _ in range(6):
+        _check_masked_search(relabeled(b0_graph, rng))
+    _check_masked_search(grid(3, 3))
+    checked = 0
+    while checked < 20:
+        graph = relabeled(random_graph(rng, rng.randint(11, 12)), rng)
+        if 0 < len(circuit_instructions(graph)) <= 14:
+            _check_masked_search(graph)
+            checked += 1
+
+
+# 13 edges, 28 circuit-borne instructions: some removals leave a circuit that
+# s reaches but that reaches r only through removed transitions
+KNOT_EDGES = [("e", "h"), ("e", "l"), ("e", "w"), ("e", "z"), ("h", "u"), ("h", "z"), ("l", "y"),
+              ("o", "u"), ("o", "w"), ("u", "y"), ("u", "z"), ("w", "z"), ("y", "z")]
+
+
+def test_masked_finiteness_and_essential_transitions_match_rebuilt_protocols(b0_graph):
+    """For random removal masks, not only those the search meets, the
+    masked verdict equals ``is_finite`` of the rebuilt protocol, and the
+    essential transitions the prune compares are the rebuilt protocol's
+    essential instructions."""
+    rng = random.Random(2718)
+    knot = TwoTerminalGraph({v for e in KNOT_EDGES for v in e}, KNOT_EDGES, "h", "l")
+    for graph in (relabeled(b0_graph, rng), grid(3, 3), knot):
+        space = optimizer._RemovalSpace(graph)
+        astar = cfp(graph)
+        sg = StateGraph(astar)
+        width = len(sg.states)
+        for trial in range(2000):
+            mask = rng.getrandbits(len(space.instructions))
+            removal = frozenset(ins for k, ins in enumerate(space.instructions) if mask >> k & 1)
+            assert space.is_finite(mask) == is_finite(astar.minus(removal))
+            if trial % 10 == 0:
+                essential = space.essential_mask(removal)
+                decoded = {sg.instruction_of(*divmod(bit, width)) for bit in _bits(essential)}
+                assert decoded == essential_instructions(astar.minus(removal))
 
 
 # -- rho hat ---------------------------------------------------------------------------
@@ -284,6 +337,37 @@ def test_pruning_differential_b0_with_inserted_reliabilities(b0_graph):
             for e in rng.sample(edges, rng.randint(1, 3))
         }
         _check_pruning_changes_nothing(b0_graph, EdgeProbabilityMap.with_overrides(b0_graph, overrides))
+
+
+def test_pruning_differential_relabeled_inputs(b0_graph, monkeypatch):
+    """Renaming the vertices reorders the removal sets, and with them the
+    sets whose essential transitions are subsumed by an earlier set's: on
+    relabeled b0 those build no table, and every output stays the same."""
+    built = []
+
+    def counted(protocol):
+        built.append(protocol)
+        return admits_table(protocol)
+
+    monkeypatch.setattr(optimizer, "admits_table", counted)
+    rng = random.Random(1997)
+    # one renaming of b0: the oracle's removal family is cached per CFP
+    graph = relabeled(b0_graph, rng)
+    edges = sorted(graph.edges)
+    overrides = {e: rho(realize(random_sptree(rng, rng.randint(2, 5)))) for e in rng.sample(edges, 3)}
+    cases = [(graph, None), (graph, EdgeProbabilityMap.with_overrides(graph, overrides))]
+    while len(cases) < 5:
+        # graphs with circuits and CFPs small enough for a quick oracle
+        g = relabeled(random_graph(rng, rng.randint(8, 10)), rng)
+        if circuit_instructions(g) and len(cfp(g)) <= 16:
+            cases.append((g, None))
+    pruned = []
+    for g, probmap in cases:
+        built.clear()
+        candidate_polynomials(g, probmap)
+        pruned.append(len(built) < len(minimal_removal_sets(g)))
+        _check_pruning_changes_nothing(g, probmap)
+    assert all(pruned)
 
 
 def test_b0_candidates_pruned_to_one(b0_graph):

@@ -35,17 +35,7 @@ from relayopt.reliability import (
     subset_counts,
 )
 
-
-def random_graph(rng: random.Random, m: int) -> TwoTerminalGraph:
-    """A simple graph on s, r and a few more vertices with exactly m edges,
-    s and r not necessarily connected."""
-    n = 2
-    while n * (n - 1) // 2 < m:
-        n += 1
-    n += rng.randint(0, 2)
-    verts = ["s", "r"] + [f"v{i}" for i in range(n - 2)]
-    pairs = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]]
-    return TwoTerminalGraph(verts, rng.sample(pairs, m), "s", "r")
+from conftest import grid, random_graph
 
 
 def random_protocols(rng: random.Random, graph: TwoTerminalGraph) -> list[Protocol]:
@@ -246,13 +236,6 @@ def test_only_protocols_containing_the_cfp_skip_the_walk_search(monkeypatch):
             table = admits_table(protocol)
             assert searched == [graph.m]
             assert table == table_of(graph.m, lambda S: subset_admits_walk(protocol, subset_edges(graph, S)))
-
-
-def grid(rows: int, cols: int) -> TwoTerminalGraph:
-    name = [[f"{i}.{j}" for j in range(cols)] for i in range(rows)]
-    edges = [(name[i][j], name[i][j + 1]) for i in range(rows) for j in range(cols - 1)]
-    edges += [(name[i][j], name[i + 1][j]) for i in range(rows - 1) for j in range(cols)]
-    return TwoTerminalGraph([v for row in name for v in row], edges, name[0][0], name[-1][-1])
 
 
 def test_table_builds_stay_within_a_few_columns_of_memory():
