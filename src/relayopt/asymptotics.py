@@ -1,9 +1,13 @@
 """Path/cut censuses, near-zero and near-one heads, and robustness.
 
 Near p = 0 the optimal reliability is governed by the counts of short
-s,r-paths; near p = 1 by the number of minimum s,r edge cuts.  Both heads
-are read off exactly from the censuses, and the piecewise optimizer's
-extreme pieces are checked against them in the test suite.
+s,r-paths; near p = 1 by the number of minimum s,r edge cuts.  The
+near-zero head is read off the path census.  The near-one head and
+robustness are questions about the fewest failures, so they search the
+failure levels (the worlds that fail exactly k edges) upward from k = 0
+and stop at the first level that answers, where the censuses scan every
+subset.  The piecewise optimizer's extreme pieces are checked against the
+heads in the test suite.
 """
 
 from __future__ import annotations
@@ -11,10 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .engine import bounded_protocol, enumerate_sr_paths, is_finite
+from .engine import StateSweep, _cfp_instructions, bounded_protocol, enumerate_sr_paths, is_finite
 from .errors import DomainError, InfiniteProtocolError
 from .graphs import Protocol, TwoTerminalGraph
-from .reliability import admits_table, check_scan_guard, connectivity_table, spectrum_from_table
+from .reliability import (
+    check_scan_guard,
+    connected_worlds,
+    connectivity_table,
+    failure_levels,
+    spectrum_from_table,
+)
 
 
 @dataclass(frozen=True)
@@ -82,23 +92,45 @@ def near_zero_expansion(graph: TwoTerminalGraph):
 
 def near_one_expansion(graph: TwoTerminalGraph) -> tuple[int, int]:
     """Head data near p = 1: minimum cut size e and the number of minimum
-    cuts, so the optimum is 1 - c_e q^e + O(q^(e+1)) in q = 1 - p."""
-    census = cut_census(graph)
-    if census.min_cut is None:
-        raise DomainError("s and r cannot be disconnected by edge removals")
-    return census.min_cut, census.count(census.min_cut)
+    cuts, so the optimum is 1 - c_e q^e + O(q^(e+1)) in q = 1 - p.
+
+    The failure levels k = 0, 1, ... are searched upward: the first with a
+    world that disconnects s from r has k = e, and its disconnected worlds
+    are the c_e minimum cuts."""
+    m = graph.m
+    check_scan_guard(m)
+    for k, columns in enumerate(failure_levels(m)):
+        worlds = (1 << comb(m, k)) - 1
+        cuts = worlds ^ connected_worlds(graph, columns, worlds)
+        if cuts:
+            return k, cuts.bit_count()
+    raise DomainError("s and r cannot be disconnected by edge removals")
 
 
 def robustness(protocol: Protocol) -> int:
     """Largest k such that every failure of at most k edges that leaves s,r
-    connected still admits a protocol walk; requires a finite protocol."""
-    if not is_finite(protocol):
-        raise InfiniteProtocolError("infinite protocol")
+    connected still admits a protocol walk; requires a finite protocol.
+    It is m when no failure leaves s,r connected without a walk, and -1
+    when the graph with no failure already does (the empty protocol on a
+    graph with no s,r edge, say).
+
+    The failure levels k = 0, 1, ... are searched upward.  The first level
+    with a world that connects s and r but admits no walk gives k - 1.  A
+    level with no connected world gives m, since every world with more
+    failures is disconnected too.  A protocol containing the CFP admits a
+    walk wherever s and r are connected, so its robustness is m at once."""
     graph = protocol.graph
     m = graph.m
-    missed = connectivity_table(graph) & ~admits_table(protocol)
-    if not missed:
+    check_scan_guard(m)
+    if not is_finite(protocol):
+        raise InfiniteProtocolError("infinite protocol")
+    if protocol.instructions >= _cfp_instructions(graph):
         return m
-    # the fewest failures that leave s,r connected but admit no walk
-    largest = max(i for i, count in enumerate(spectrum_from_table(m, missed)) if count)
-    return m - largest - 1
+    walks = StateSweep(protocol)
+    for k, columns in enumerate(failure_levels(m)):
+        connected = connected_worlds(graph, columns, (1 << comb(m, k)) - 1)
+        if not connected:
+            break
+        if connected & ~walks.delivered(columns):
+            return k - 1
+    return m

@@ -287,6 +287,29 @@ class StateGraph:
         return (first[0],) + tuple(self.states[i][1] for i in state_path)
 
 
+class StateSweep:
+    """The protocol's useful states (reachable from an initial state and
+    co-reaching an accepting one), each with the index of its edge, and
+    their topological order when the protocol is finite: the nodes of the
+    bit-sliced walk sweep."""
+
+    def __init__(self, protocol: Protocol):
+        sg = StateGraph(protocol)
+        useful = sg.useful()
+        essential = sg.essential()
+        self.edge = sg.edge
+        self.succ = [tuple(j for j in out if mask >> j & 1) for out, mask in zip(sg.out, essential)]
+        self.initial = [i for i in sg.initial if useful >> i & 1]
+        self.accepting = [i for i in range(len(essential)) if (sg.accepting & useful) >> i & 1]
+        order = topological_order(essential)
+        self.order = None if order is None else [i for i in order if useful >> i & 1]
+
+    def delivered(self, columns: Sequence[int]) -> int:
+        """Bitset of the worlds (sampled trials, or edge subsets) in which
+        some protocol walk survives, given each edge's survival column."""
+        return _sweep(self.succ, [columns[e] for e in self.edge], self.initial, self.accepting)
+
+
 def essential_instructions(protocol: Protocol) -> frozenset[Instruction]:
     """Instructions of the protocol contained in at least one protocol walk
     from s to r: the start state is reachable, the end state co-reaches an

@@ -231,23 +231,30 @@ def _minimal_removal_family(astar: Protocol, candidates: Sequence[Instruction]) 
     the reference of ``brute_force_rho_hat`` and of the tests."""
     if is_finite(astar):
         return [frozenset()]
-    found: list[RemovalSet] = []
+    # A combination is the int mask of its candidate positions, so the
+    # containment test against the sets found so far is one AND each.
+    bits = [1 << i for i in range(len(candidates))]
+    found: list[int] = []
     tests = 0
     for size in range(1, len(candidates) + 1):
         saw_open = False
-        for combo in itertools.combinations(candidates, size):
-            cset = frozenset(combo)
-            if any(f <= cset for f in found):
-                continue
-            saw_open = True
-            tests += 1
-            if tests > MAX_REMOVAL_TESTS:
-                raise GuardExceededError(f"removal search exceeded {MAX_REMOVAL_TESTS} finiteness tests")
-            if is_finite(astar.minus(cset)):
-                found.append(cset)
+        for mask in map(sum, itertools.combinations(bits, size)):
+            for f in found:
+                if f & mask == f:
+                    break
+            else:
+                saw_open = True
+                tests += 1
+                if tests > MAX_REMOVAL_TESTS:
+                    raise GuardExceededError(f"removal search exceeded {MAX_REMOVAL_TESTS} finiteness tests")
+                if is_finite(astar.minus(c for c, bit in zip(candidates, bits) if mask & bit)):
+                    found.append(mask)
         if not saw_open:
             break
-    return sorted(found, key=_removal_sort_key)
+    return sorted(
+        (frozenset(c for c, bit in zip(candidates, bits) if mask & bit) for mask in found),
+        key=_removal_sort_key,
+    )
 
 
 def minimal_removal_sets(graph: TwoTerminalGraph) -> list[RemovalSet]:

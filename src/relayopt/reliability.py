@@ -28,7 +28,7 @@ block of the table.  The polynomial is assembled from those counts.
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .engine import StateGraph, _bits, _cfp_instructions, _sweep, a_paths, cfp
 from .errors import GuardExceededError
@@ -224,10 +224,11 @@ def path_table(protocol: Protocol) -> int:
     return _superset_table(protocol.graph.m, path_masks(protocol))
 
 
-def connectivity_table(graph: TwoTerminalGraph) -> int:
-    """Indicator of subsets keeping s and r in one component."""
-    m = graph.m
-    check_scan_guard(m)
+def connected_worlds(graph: TwoTerminalGraph, columns: Sequence[int], worlds: int) -> int:
+    """The worlds of the bitset ``worlds`` that keep s and r in one
+    component, given each edge's survival column over them: the sweep over
+    the vertex-edge incidence graph, in which a vertex passes every world
+    on and an edge only the worlds in which it survives."""
     order = sorted(graph.vertices)
     index = {v: i for i, v in enumerate(order)}
     n = len(order)
@@ -237,8 +238,39 @@ def connectivity_table(graph: TwoTerminalGraph) -> int:
         succ[index[u]].append(n + e)
         succ[index[v]].append(n + e)
         succ.append((index[u], index[v]))
-    col = [_full(m)] * n + [_column(m, e) for e in range(m)]
-    return _sweep(succ, col, [index[graph.s]], [index[graph.r]])
+    return _sweep(succ, [worlds] * n + list(columns), [index[graph.s]], [index[graph.r]])
+
+
+def connectivity_table(graph: TwoTerminalGraph) -> int:
+    """Indicator of subsets keeping s and r in one component."""
+    m = graph.m
+    check_scan_guard(m)
+    return connected_worlds(graph, [_column(m, e) for e in range(m)], _full(m))
+
+
+def failure_levels(m: int) -> Iterator[list[int]]:
+    """For k = 0, 1, ..., m in turn, the survival columns of the C(m, k)
+    worlds that fail exactly k of the m edges: bit t of column e is set iff
+    edge e survives in world t.  A caller that stops early builds no later
+    level.
+
+    The columns follow the Pascal recurrence over the edges: the worlds
+    failing k of edges 0..j are those failing k of edges 0..j-1 with edge
+    j alive, then those failing k - 1 of them with edge j failed.  So each
+    earlier column is its first block ORed with its second shifted past
+    the first, and edge j's column is the first block's run of ones.  Only
+    levels k - 1 and k are kept, one column list per prefix of the edges."""
+    previous = [[0] * j for j in range(m + 1)]  # below level 0: no worlds
+    previous_size = [0] * (m + 1)
+    for k in range(m + 1):
+        level, size = [[]], [1 if k == 0 else 0]
+        for j in range(m):
+            n = size[j]
+            level.append([a | b << n for a, b in zip(level[j], previous[j])] + [(1 << n) - 1])
+            size.append(n + previous_size[j])
+            previous[j] = None  # level k - 1 of this prefix is no longer needed
+        yield level[m]
+        previous, previous_size = level, size
 
 
 def _layers(n: int) -> list[int]:

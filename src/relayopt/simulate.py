@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 
-from .engine import StateGraph, _sweep, a_walks, is_finite, topological_order
+from .engine import StateSweep, a_walks, is_finite
 from .errors import GuardExceededError, InfiniteProtocolError
 from .graphs import EdgeProbabilityMap, Protocol, edge_key, require_open_unit
 from .polys import Poly
@@ -101,53 +101,32 @@ def _survival_digits(base, m: int, threshold: int, first: int, stop: int) -> lis
     return digits
 
 
-class _StateSweep:
-    """The protocol's useful states (reachable from an initial state and
-    co-reaching an accepting one), each with the index of its edge, and
-    their topological order when the protocol is finite."""
-
-    def __init__(self, protocol: Protocol):
-        sg = StateGraph(protocol)
-        useful = sg.useful()
-        essential = sg.essential()
-        self.edge = sg.edge
-        self.succ = [tuple(j for j in out if mask >> j & 1) for out, mask in zip(sg.out, essential)]
-        self.initial = [i for i in sg.initial if useful >> i & 1]
-        self.accepting = [i for i in range(len(essential)) if (sg.accepting & useful) >> i & 1]
-        order = topological_order(essential)
-        self.order = None if order is None else [i for i in order if useful >> i & 1]
-
-    def delivered(self, columns: list[int]) -> int:
-        """Bitset of the trials in which some protocol walk survives, given
-        each edge's survival column."""
-        return _sweep(self.succ, [columns[e] for e in self.edge], self.initial, self.accepting)
-
-    def copy_counts(self, columns: list[int], trials: int) -> dict[int, int]:
-        """Histogram of the number of surviving protocol walks over the
-        trials of the bitset ``trials``, given each edge's survival column.
-        Needs the topological order, so the protocol must be finite."""
-        accepting = set(self.accepting)
-        planes: list[list[int]] = [[] for _ in self.succ]
-        for i in reversed(self.order):
-            total = [trials] if i in accepting else []
-            for j in self.succ[i]:
-                total = _add(total, planes[j])
-            col = columns[self.edge[i]]
-            planes[i] = [p & col for p in total]
-        total = []
-        for i in self.initial:
-            total = _add(total, planes[i])
-        groups = {0: trials}
-        for k in reversed(range(len(total))):
-            plane, split = total[k], {}
-            for count, where in groups.items():
-                high = where & plane
-                if high:
-                    split[count | 1 << k] = high
-                if high != where:
-                    split[count] = where ^ high
-            groups = split
-        return {count: where.bit_count() for count, where in groups.items()}
+def _copy_counts(sweep: StateSweep, columns: list[int], trials: int) -> dict[int, int]:
+    """Histogram of the number of surviving protocol walks over the trials
+    of the bitset ``trials``, given each edge's survival column.  Needs the
+    topological order, so the protocol must be finite."""
+    accepting = set(sweep.accepting)
+    planes: list[list[int]] = [[] for _ in sweep.succ]
+    for i in reversed(sweep.order):
+        total = [trials] if i in accepting else []
+        for j in sweep.succ[i]:
+            total = _add(total, planes[j])
+        col = columns[sweep.edge[i]]
+        planes[i] = [p & col for p in total]
+    total = []
+    for i in sweep.initial:
+        total = _add(total, planes[i])
+    groups = {0: trials}
+    for k in reversed(range(len(total))):
+        plane, split = total[k], {}
+        for count, where in groups.items():
+            high = where & plane
+            if high:
+                split[count | 1 << k] = high
+            if high != where:
+                split[count] = where ^ high
+        groups = split
+    return {count: where.bit_count() for count, where in groups.items()}
 
 
 def _add(a: list[int], b: list[int]) -> list[int]:
@@ -187,7 +166,7 @@ def simulate(
     if count_copies and not is_finite(protocol):
         raise InfiniteProtocolError("copy counting needs a finite protocol")
     m = protocol.graph.m
-    sweep = _StateSweep(protocol)
+    sweep = StateSweep(protocol)
     threshold = (p0.numerator * _SCALE) // p0.denominator
     base = hashlib.blake2b(key=seed.to_bytes(8, "big", signed=True), digest_size=64)
     deliveries = 0
@@ -197,7 +176,7 @@ def simulate(
         columns = [_binary(d[::-1]) for d in _survival_digits(base, m, threshold, first, stop)]
         deliveries += sweep.delivered(columns).bit_count()
         if count_copies:
-            counts = sweep.copy_counts(columns, (1 << (stop - first)) - 1)
+            counts = _copy_counts(sweep, columns, (1 << (stop - first)) - 1)
             if max(counts) > COPY_CAP:
                 raise GuardExceededError(f"more than {COPY_CAP} surviving walks in one trial")
             histogram.update(counts)

@@ -1,14 +1,17 @@
 import random
+import tracemalloc
 from math import comb
 
 import pytest
 
 from relayopt import (
     InfiniteProtocolError,
+    Protocol,
     TwoTerminalGraph,
     bounded_protocol,
     cfp,
     cut_census,
+    is_finite,
     near_one_expansion,
     near_zero_expansion,
     path_census,
@@ -17,9 +20,11 @@ from relayopt import (
     walk_spectrum,
 )
 from relayopt.constructions import parallel, path_graph, realize
+from relayopt.optimizer import circuit_instructions
 from relayopt.polys import Poly
+from relayopt.reliability import admits_table, connectivity_table, failure_levels, spectrum_from_table
 
-from conftest import random_connected_graph
+from conftest import grid, random_connected_graph, random_graph
 
 X = Poly.x()
 
@@ -155,3 +160,84 @@ def test_robustness_at_least_one_random():
         m = g.m
         # CFP of any graph admits a walk whenever s,r stay connected
         assert robustness(proto) == m
+
+
+def test_robustness_minus_one_without_failures(b0_graph):
+    """-1: the graph with no failure connects s and r, but no walk of the
+    protocol exists."""
+    assert robustness(Protocol(b0_graph, [])) == -1
+    assert robustness(Protocol(b0_graph, [("s", "1", "4"), ("1", "4", "3")])) == -1
+
+
+def robustness_from_tables(protocol: Protocol) -> int:
+    """m - max{|S| : S connects s,r and admits no walk} - 1, from the full
+    connectivity and walk tables."""
+    m = protocol.graph.m
+    missed = connectivity_table(protocol.graph) & ~admits_table(protocol)
+    if not missed:
+        return m
+    return m - max(i for i, count in enumerate(spectrum_from_table(m, missed)) if count) - 1
+
+
+def random_finite_protocols(rng: random.Random, graph: TwoTerminalGraph) -> list[Protocol]:
+    """Random parts of the CFP, and the CFP's instructions on no essential
+    circuit with random circuit-borne ones added or random others dropped,
+    keeping the finite ones."""
+    full = sorted(cfp(graph).instructions)
+    borne = set(circuit_instructions(graph))
+    base = [i for i in full if i not in borne]
+    out = [Protocol(graph, [i for i in full if rng.random() < f]) for f in (0.2, 0.5, 0.8)]
+    out.append(Protocol(graph, base + [i for i in sorted(borne) if rng.random() < 0.3]))
+    out.append(Protocol(graph, [i for i in base if rng.random() < 0.9]))
+    return [p for p in out if is_finite(p)]
+
+
+@pytest.mark.parametrize("m", range(13, 19))
+def test_robustness_matches_the_table_formula(m):
+    """Past the per-subset oracle's reach (m <= 12), against the full
+    tables, on protocols with robustness from -1 up to m."""
+    rng = random.Random(1600 + m)
+    for _ in range(3):
+        for proto in random_finite_protocols(rng, random_graph(rng, m)):
+            assert robustness(proto) == robustness_from_tables(proto)
+
+
+def parallel_two_paths(k: int) -> TwoTerminalGraph:
+    middle = [f"v{i}" for i in range(k)]
+    return TwoTerminalGraph(["s", "r"] + middle, [e for v in middle for e in (("s", v), (v, "r"))], "s", "r")
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_robustness_of_parallel_two_paths(k):
+    """k parallel 2-paths and their CFP without s v0 r: the fewest failures
+    that leave only the route through v0 cut one edge of each other route,
+    so the robustness is k - 2.  At k = 12 (m = 24, the scan guard) the
+    search builds the levels up to 11 failures within 64 MiB."""
+    protocol = cfp(parallel_two_paths(k)).minus([("s", "v0", "r")])
+    tracemalloc.start()
+    try:
+        value = robustness(protocol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == k - 2
+    assert peak < 64 << 20, peak
+
+
+def test_near_one_matches_the_cut_census():
+    rng = random.Random(1601)
+    graphs = [grid(2, 3), grid(3, 3), grid(2, 6), grid(3, 4), grid(3, 5)]
+    graphs += [random_graph(rng, m) for m in range(1, 19) for _ in range(2)]
+    for graph in graphs:
+        census = cut_census(graph)
+        assert near_one_expansion(graph) == (census.min_cut, census.count(census.min_cut))
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_failure_levels_are_the_subsets_of_each_size(m):
+    """Level k holds each (m - k)-subset of surviving edges once."""
+    for k, columns in enumerate(failure_levels(m)):
+        assert len(columns) == m
+        worlds = [sum((col >> t & 1) << e for e, col in enumerate(columns)) for t in range(comb(m, k))]
+        assert sorted(worlds) == sorted(S for S in range(1 << m) if S.bit_count() == m - k)
+        assert all(col >> comb(m, k) == 0 for col in columns)

@@ -184,6 +184,15 @@ def test_reliability_prime_flag(tmp_path):
     assert json.loads(out)["poly"] == ["0", "0", "0", "2", "0", "0", "-1"]
 
 
+def test_robustness_minus_one(tmp_path):
+    """A protocol with no walk on the intact graph has robustness -1."""
+    proto = tmp_path / "empty.json"
+    proto.write_text(json.dumps({"instructions": []}))
+    status, out, _ = run_cli(["robustness", "--protocol", str(proto)], b0_text())
+    assert status == 0
+    assert json.loads(out) == {"robustness": -1}
+
+
 def test_min_discrepancy_piecewise_output():
     _, graph_text, _ = run_cli(["breakpoint-graph", "--orders", "1"], b0_text())
     status, out, _ = run_cli(["min-discrepancy"], graph_text)
