@@ -7,12 +7,21 @@ seed reproduce reports byte for byte.
 
 Trials are sampled as columns, ``BLOCK`` trials at a time: each edge's
 survival over a block is one int with one bit per trial.  Delivery is
-decided for the whole block by one reachability sweep over the protocol's
+decided for the whole block by reachability sweeps over the protocol's
 state graph, ``reach[j] |= reach[i] & column[edge of j]``, run to a
 fixpoint, so infinite protocols need no special case and no cost grows
 with 2^m.
 
-Copies are counted bit-sliced over the same columns.  The useful states
+Only the first 16-edge block is drawn for every trial.  Delivery is
+monotone in the surviving edges: a trial delivered with the undrawn edges
+all failed is delivered whatever they do, and one not delivered with them
+all surviving is never delivered.  So before each later block one sweep
+computes both bounds, and only the trials between them draw it.  The
+digest of a (trial, block) does not depend on which trials draw it, so
+the reports are the same as when every block is drawn.
+
+Copies are counted bit-sliced over the same columns, and need every edge:
+``count_copies`` draws every block for every trial.  The useful states
 of a finite protocol form a DAG; each holds its number of surviving walks
 as bit planes (bit t of plane k is bit k of the count in trial t), filled
 in reverse topological order: a state's planes are the ripple-carry sum of
@@ -31,7 +40,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import compress, repeat
+from typing import Callable, Sequence
 
 from .engine import StateSweep, a_walks, is_finite
 from .errors import GuardExceededError, InfiniteProtocolError
@@ -44,6 +54,8 @@ _CHUNK = 4  # bytes of hash output per edge
 _SCALE = 1 << (8 * _CHUNK)
 _PER_DIGEST = 64 // _CHUNK  # edges per digest
 _binary = partial(int, base=2)
+_KEEP = bytes.maketrans(b"01", b"\0\1")  # undecided-trial flags to truth values for ``compress``
+_DROP = bytes.maketrans(b"01", b"\x80\0")  # ... and to ``_compact``'s marks, 0x80 where decided
 _message = struct.Struct(">QH").pack  # (trial index, 16-edge block)
 SEED_MIN, SEED_MAX = -(1 << 63), (1 << 63) - 1  # seeds key BLAKE2b as 8 signed bytes
 
@@ -68,37 +80,78 @@ class TrialReport:
         return obj
 
 
-def _survival_digits(base, m: int, threshold: int, first: int, stop: int) -> list[bytes]:
-    """For each edge, one ASCII digit per trial in ``range(first, stop)``:
-    ``1`` where the edge survives.  Edge j survives trial t iff the
-    big-endian word at offset 4*(j mod 16) of the digest of
-    (t, j // 16) is below ``threshold``.
+def _survival_digits(base, m: int, threshold: int, trials: Sequence[int], blk: int) -> list[bytes]:
+    """For each edge of the 16-edge block ``blk``, one ASCII digit per
+    trial index in ``trials``: ``1`` where the edge survives.  Edge j
+    survives trial t iff the big-endian word at offset 4*(j mod 16) of the
+    digest of (t, j // 16) is below ``threshold``.
 
     The words are compared by their top byte first, with one ``translate``
     per edge; only the trials whose top byte ties the threshold's (1 in
-    256) compare the remaining three bytes one by one.  Each block's
-    digests are drawn by ``map`` over the hash type's own methods, so no
-    Python code runs per trial."""
+    256) compare the remaining three bytes one by one.  The digests are
+    drawn by ``map`` over the hash type's own methods, so no Python code
+    runs per trial."""
     top, low = divmod(threshold, 1 << 24)
     by_top = b"1" * top + b"?" + b"0" * (255 - top)
     kind = type(base)
-    n = stop - first
+    n = len(trials)
+    hashes = list(map(kind.copy, repeat(base, n)))
+    deque(map(kind.update, hashes, map(_message, trials, repeat(blk, n))), maxlen=0)
+    stream = b"".join(map(kind.digest, hashes))
     digits = []
-    for blk in range((m + _PER_DIGEST - 1) // _PER_DIGEST):
-        hashes = list(map(kind.copy, repeat(base, n)))
-        deque(map(kind.update, hashes, map(_message, range(first, stop), repeat(blk, n))), maxlen=0)
-        stream = b"".join(map(kind.digest, hashes))
-        for at in range(0, _CHUNK * min(_PER_DIGEST, m - blk * _PER_DIGEST), _CHUNK):
-            row = stream[at::64].translate(by_top)
-            tie = row.find(b"?")
-            if tie >= 0:
-                row = bytearray(row)
-                while tie >= 0:
-                    k = 64 * tie + at + 1
-                    row[tie] = 49 if int.from_bytes(stream[k:k + 3], "big") < low else 48
-                    tie = row.find(b"?", tie + 1)
-            digits.append(row)
+    for at in range(0, _CHUNK * min(_PER_DIGEST, m - blk * _PER_DIGEST), _CHUNK):
+        row = stream[at::64].translate(by_top)
+        tie = row.find(b"?")
+        if tie >= 0:
+            row = bytearray(row)
+            while tie >= 0:
+                k = 64 * tie + at + 1
+                row[tie] = 49 if int.from_bytes(stream[k:k + 3], "big") < low else 48
+                tie = row.find(b"?", tie + 1)
+        digits.append(row)
     return digits
+
+
+def _compact(digits: list[bytes], drop: bytes) -> list[bytes]:
+    """The digit rows without the positions where ``drop`` holds 0x80 (it
+    holds 0 elsewhere).  Adding ``drop`` to each row lifts the dropped
+    digits to 0xB0 and 0xB1, which one ``translate`` deletes."""
+    n = len(drop)
+    flagged = int.from_bytes(b"".join(digits), "big") + int.from_bytes(drop * len(digits), "big")
+    kept = flagged.to_bytes(n * len(digits), "big").translate(None, b"\xb0\xb1")
+    k = len(kept) // len(digits)
+    return [kept[i:i + k] for i in range(0, len(kept), k)]
+
+
+def _deliveries(sweep: StateSweep, draw: Callable[[Sequence[int], int], list[bytes]], m: int,
+                trials: Sequence[int]) -> int:
+    """Number of the trials ``trials`` in which some protocol walk survives.
+
+    Block 0 is drawn for every trial.  Before each later block, one sweep
+    over twice the trials bounds delivery: in the low half the undrawn
+    edges all fail, in the high half they all survive.  Delivery is
+    monotone in the surviving edges, so a trial delivered in the low half
+    is delivered whatever the undrawn edges do, and one not delivered in
+    the high half is not delivered at all.  Only the trials in between
+    draw the next block, and the digit rows drawn so far are compacted to
+    them.  A final sweep decides the trials left after the last block.
+
+    Digit i of a row is the trial ``trials[i]``, so it is bit n - 1 - i of
+    the row's column."""
+    digits = draw(trials, 0)
+    delivered = 0
+    for blk in range(1, (m + _PER_DIGEST - 1) // _PER_DIGEST):
+        n = len(trials)
+        both = [c << n | c for c in map(_binary, digits)] + [((1 << n) - 1) << n] * (m - len(digits))
+        got = sweep.delivered(both)
+        lo, hi = got & (1 << n) - 1, got >> n
+        delivered += lo.bit_count()
+        if hi == lo:
+            return delivered
+        undecided = format(hi & ~lo, f"0{n}b").encode()
+        trials = list(compress(trials, undecided.translate(_KEEP)))
+        digits = _compact(digits, undecided.translate(_DROP)) + draw(trials, blk)
+    return delivered + sweep.delivered(list(map(_binary, digits))).bit_count()
 
 
 def _copy_counts(sweep: StateSweep, columns: list[int], trials: int) -> dict[int, int]:
@@ -169,17 +222,22 @@ def simulate(
     sweep = StateSweep(protocol)
     threshold = (p0.numerator * _SCALE) // p0.denominator
     base = hashlib.blake2b(key=seed.to_bytes(8, "big", signed=True), digest_size=64)
+    draw = partial(_survival_digits, base, m, threshold)
+    blocks = (m + _PER_DIGEST - 1) // _PER_DIGEST
     deliveries = 0
     histogram: Counter[int] = Counter()
     for first in range(0, trials, BLOCK):
-        stop = min(first + BLOCK, trials)
-        columns = [_binary(d[::-1]) for d in _survival_digits(base, m, threshold, first, stop)]
+        batch = range(first, min(first + BLOCK, trials))
+        if not count_copies:
+            deliveries += _deliveries(sweep, draw, m, batch)
+            continue
+        # copy counts need every edge, so every trial draws every block
+        columns = [_binary(row) for blk in range(blocks) for row in draw(batch, blk)]
         deliveries += sweep.delivered(columns).bit_count()
-        if count_copies:
-            counts = _copy_counts(sweep, columns, (1 << (stop - first)) - 1)
-            if max(counts) > COPY_CAP:
-                raise GuardExceededError(f"more than {COPY_CAP} surviving walks in one trial")
-            histogram.update(counts)
+        counts = _copy_counts(sweep, columns, (1 << len(batch)) - 1)
+        if max(counts) > COPY_CAP:
+            raise GuardExceededError(f"more than {COPY_CAP} surviving walks in one trial")
+        histogram.update(counts)
     estimate = Fraction(deliveries, trials)
     stderr = math.sqrt(float(estimate * (1 - estimate)) / trials)
     return TrialReport(trials, deliveries, estimate, stderr, dict(histogram) if count_copies else None)

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -21,10 +22,11 @@ from relayopt import (
     rho_A,
     simulate,
 )
-from relayopt.constructions import parallel, path_graph, realize
+from relayopt.constructions import build_breakpoint_graph, parallel, path_graph, realize
 from relayopt.graphs import b0, edge_key
 from relayopt.polys import Poly
 from relayopt.reliability import subset_admits_walk
+from relayopt.simulate import SEED_MAX, SEED_MIN
 
 from conftest import diamond_chain, random_connected_graph
 
@@ -149,6 +151,18 @@ def test_golden_reports():
     assert simulate(cfp(M17_GRAPH), Fraction(2, 5), 2500, seed=2026).deliveries == 1200
 
 
+@pytest.mark.parametrize("orders, p0, deliveries", [
+    ((1, 1), Fraction(1, 3), 190), ((1, 1), Fraction(2, 3), 6053),
+    ((3,), Fraction(1, 3), 268), ((3,), Fraction(2, 3), 7217),
+])
+def test_golden_reports_of_breakpoint_graphs(orders, p0, deliveries):
+    # Three and four digests per trial (m = 34 and 58), past the subset
+    # scan: reports of the sampler that drew every block for every trial.
+    graph = build_breakpoint_graph(orders)
+    assert graph.m == {(1, 1): 34, (3,): 58}[orders]
+    assert simulate(cfp(graph), p0, 10_000, seed=5).deliveries == deliveries
+
+
 def reference_masks(m, p0, trials, seed):
     """Surviving-edge bitmask of each trial, one trial at a time."""
     threshold = (p0.numerator << 32) // p0.denominator
@@ -166,10 +180,11 @@ def check_against_oracle(proto, p0, trials, seed):
     edges = graph.edge_list()
     masks = list(reference_masks(graph.m, p0, trials, seed))
     admitted = [subset_admits_walk(proto, [e for j, e in enumerate(edges) if mask >> j & 1]) for mask in masks]
+    assert simulate(proto, p0, trials, seed).deliveries == sum(admitted)
     finite = is_finite(proto)
-    report = simulate(proto, p0, trials, seed, count_copies=finite)
-    assert report.deliveries == sum(admitted)
     if finite:
+        report = simulate(proto, p0, trials, seed, count_copies=True)
+        assert report.deliveries == sum(admitted)
         bits = {e: 1 << j for j, e in enumerate(edges)}
         walk_masks = [sum({bits[edge_key(w[i], w[i + 1])] for i in range(len(w) - 1)}) for w in a_walks(proto)]
         expected = Counter(sum(1 for w in walk_masks if w & mask == w) for mask in masks)
@@ -187,6 +202,80 @@ def test_differential_against_per_trial_oracle():
     assert 0 < finite.count(False) < len(finite)
     assert not check_against_oracle(cfp(M17_GRAPH), Fraction(3, 7), 1100, seed=5)
     assert check_against_oracle(bounded_protocol(M17_GRAPH, 3), Fraction(4, 5), 700, seed=-3)
+
+
+def sparse_connected_graph(rng, m):
+    """Random graph with m edges on about 2m/3 vertices, s and r connected
+    but not adjacent: few enough s,r-paths for the CFP to stay small."""
+    verts = ["s", "r"] + [f"v{i}" for i in range(2 * m // 3 - 2)]
+    pairs = [frozenset((a, b)) for i, a in enumerate(verts) for b in verts[i + 1:]]
+    pairs.remove(frozenset("sr"))
+    while True:
+        order = rng.sample(verts, len(verts))
+        edges = {frozenset((v, rng.choice(order[:i]))) for i, v in enumerate(order) if i} - {frozenset("sr")}
+        edges.update(rng.sample([e for e in pairs if e not in edges], m - len(edges)))
+        graph = TwoTerminalGraph(verts, [tuple(e) for e in edges], "s", "r")
+        if "r" in graph.distances_from("s"):
+            return graph
+
+
+def test_differential_against_per_trial_oracle_on_later_blocks():
+    """Graphs of 17..40 edges, whose later blocks are drawn only for the
+    trials the earlier ones leave undecided, against the oracle that draws
+    every block of every trial: the CFP, a finite protocol, and the CFP
+    without the instructions into r, which admits no walk."""
+    rng = random.Random(17)
+    graphs = [sparse_connected_graph(rng, m) for m in (17, 23, 32, 40)]
+    draws = list(itertools.product([Fraction(1, 100), Fraction(1, 2), Fraction(99, 100)], [SEED_MIN, SEED_MAX]))
+    for kind in ("cfp", "bounded", "no walk"):
+        # each graph meets every trial count and every (p, seed) pair
+        for (t, trials), (j, (p0, seed)) in itertools.product(enumerate([1, 511, 512, 513]), enumerate(draws)):
+            graph = graphs[(t + j) % len(graphs)]
+            proto = cfp(graph)
+            if kind == "bounded":
+                proto = bounded_protocol(graph, graph.distances_from("s")["r"] + 1)
+            elif kind == "no walk":
+                proto = proto.minus(x for x in proto.instructions if x[2] == graph.r)
+            check_against_oracle(proto, p0, trials, seed)
+
+
+def record_draws(monkeypatch):
+    """Trials passed to the drawer per block, and the columns passed to
+    each sweep."""
+    module = importlib.import_module("relayopt.simulate")
+    drawn, sweeps = Counter(), []
+    draw, delivered = module._survival_digits, module.StateSweep.delivered
+
+    def counted_draw(base, m, threshold, trials, blk):
+        drawn[blk] += len(trials)
+        return draw(base, m, threshold, trials, blk)
+
+    def counted_sweep(self, columns):
+        sweeps.append(len(columns))
+        return delivered(self, columns)
+
+    monkeypatch.setattr(module, "_survival_digits", counted_draw)
+    monkeypatch.setattr(module.StateSweep, "delivered", counted_sweep)
+    return drawn, sweeps
+
+
+def test_later_blocks_drawn_only_for_undecided_trials(monkeypatch):
+    drawn, sweeps = record_draws(monkeypatch)
+    assert simulate(cfp(M17_GRAPH), Fraction(2, 5), 2500, seed=2026).deliveries == 1200
+    assert drawn[0] == 2500 and 0 < drawn[1] < 2500 and set(drawn) == {0, 1}
+    # one bounding sweep and one final sweep per column block of 512, each
+    # over a column for every edge
+    assert sweeps == [17] * 2 * 5
+    drawn.clear()
+    simulate(bounded_protocol(M17_GRAPH, 3), Fraction(2, 5), 2500, seed=2026, count_copies=True)
+    assert drawn == {0: 2500, 1: 2500}  # copy counts need every edge
+
+
+def test_one_block_graph_runs_no_bounding_sweep(monkeypatch):
+    drawn, sweeps = record_draws(monkeypatch)
+    assert simulate(cfp(b0()), Fraction(1, 3), 4099, seed=-7).deliveries == 453
+    assert drawn == {0: 4099}
+    assert sweeps == [10] * 9  # one per column block of 512
 
 
 def test_copy_cap_admits_exactly_the_cap(monkeypatch):
