@@ -293,7 +293,7 @@ def candidate_polynomials(
     tabled: list[int] = []
     # Removal sets arrive sorted, so the first one kept is the least.
     by_counts: dict[tuple[int, ...], tuple[RemovalSet, list[list[int]]]] = {}
-    for removal in minimal_removal_sets(graph):
+    for removal in space.minimal_removals():
         essential = space.essential_mask(removal)
         # a set subsumed by a skipped set is subsumed by a tabled one
         if any(not essential & ~earlier for earlier in tabled):

@@ -12,6 +12,7 @@ from relayopt import build_breakpoint_graph, build_crossing_pair, cfp, essential
 from relayopt.cli import build_parser, main
 from relayopt.constructions import path_graph
 from relayopt.graphs import EdgeProbabilityMap, TwoTerminalGraph, b0, graph_json, protocol_json
+from relayopt.polys import Poly
 
 from conftest import diamond_chain
 
@@ -542,15 +543,17 @@ def test_witness_on_a_long_circuit():
     assert essential_circuits(cfp(graph)) == [witness]
 
 
-def _crossing_pair_b0_text(names=None):
+def _crossing_pair_b0_text(names=None, orders=(1,), extra=None):
     """b0 with the crossing pair's polynomials on its sender edges s1 and
-    s2, its vertices renamed by ``names`` if given."""
+    s2, its vertices renamed by ``names`` if given, and the overrides in
+    ``extra`` on further edges."""
     base = b0()
     names = names or {v: v for v in base.vertices}
     graph = TwoTerminalGraph(names.values(), [(names[u], names[v]) for u, v in base.edge_list()],
                              names["s"], names["r"])
-    h1, h2 = build_crossing_pair((1,))
+    h1, h2 = build_crossing_pair(orders)
     overrides = {(names["s"], names["1"]): rho(realize(h1)), (names["s"], names["2"]): rho(realize(h2))}
+    overrides.update(extra or {})
     return json.dumps(graph_json(graph, EdgeProbabilityMap.with_overrides(graph, overrides)))
 
 
@@ -587,6 +590,29 @@ def test_breakpoint_outputs_golden(source, argv):
     status, out, err = run_cli(list(argv), text)
     assert status == 0 and not err
     assert hashlib.sha256(out.encode()).hexdigest() == golden[argv]
+
+
+# b0 with the (1,1) crossing pair on its sender edges, alone and with p^4 on
+# edge 3-4; the second candidate difference has degree 36, and its
+# breakpoint near 0.985 lies on a degree-22 factor.  Pinned before the
+# Descartes isolation kernel.
+PAIR_1_1_GOLDEN = {
+    ("alone", "rho-hat", "--piecewise"): "f80c5819e7ee49341f278fc8fda05c4bd10af6301225a13ed22312be4774f804",
+    ("alone", "min-discrepancy"): "bbde8a90753898afd807c4cf90484facae9fdcb813e836c7c3881fb8be1b55d6",
+    ("p^4 on 3-4", "rho-hat", "--piecewise"): "be2e3f4983cd434d731bbed6896ed23ed6de0e3e9bc6f0c5fb912cea960a96f6",
+    ("p^4 on 3-4", "min-discrepancy"): "c198ae74597cf8f1cae18b2422821144e147fedca80931242a60ca44778f59d1",
+}
+
+
+@pytest.mark.parametrize("case", PAIR_1_1_GOLDEN, ids=" ".join)
+def test_crossing_pair_1_1_outputs_golden(case):
+    extra = {("3", "4"): Poly.x() ** 4} if case[0] == "p^4 on 3-4" else None
+    status, out, err = run_cli(list(case[1:]), _crossing_pair_b0_text(orders=(1, 1), extra=extra))
+    assert status == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == PAIR_1_1_GOLDEN[case]
+    if extra:
+        (bp,) = json.loads(out)["breakpoints"]
+        assert len(bp["poly"]) == 23 and 0.9849 < Fraction(bp["interval"][0]) < 0.985
 
 
 # -- one parser per process ---------------------------------------------------------

@@ -384,6 +384,19 @@ def test_candidate_polynomials_respect_removal_guard(b0_graph, monkeypatch):
         candidate_polynomials(b0_graph)
 
 
+def test_candidate_polynomials_build_one_removal_space(b0_graph, monkeypatch):
+    built = []
+
+    class Counted(optimizer._RemovalSpace):
+        def __init__(self, graph):
+            built.append(graph)
+            super().__init__(graph)
+
+    monkeypatch.setattr(optimizer, "_RemovalSpace", Counted)
+    assert len(candidate_polynomials(b0_graph)) == 1
+    assert built == [b0_graph]
+
+
 # -- envelope breakpoints ----------------------------------------------------------------
 
 GOLDEN = X * X + X - 1  # root (sqrt(5) - 1)/2 in (0,1)
