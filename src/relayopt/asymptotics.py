@@ -122,11 +122,11 @@ def robustness(protocol: Protocol) -> int:
     graph = protocol.graph
     m = graph.m
     check_scan_guard(m)
-    if not is_finite(protocol):
+    walks = StateSweep(protocol)
+    if walks.order is None:
         raise InfiniteProtocolError("infinite protocol")
     if protocol.instructions >= _cfp_instructions(graph):
         return m
-    walks = StateSweep(protocol)
     for k, columns in enumerate(failure_levels(m)):
         connected = connected_worlds(graph, columns, (1 << comb(m, k)) - 1)
         if not connected:

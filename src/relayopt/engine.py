@@ -14,7 +14,7 @@ through a state (y,r).  Under this encoding:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import GuardExceededError, InfiniteProtocolError
 from .graphs import Instruction, Protocol, TwoTerminalGraph, edge_key
@@ -75,10 +75,12 @@ def _cfp_instructions(graph: TwoTerminalGraph) -> frozenset[Instruction]:
         return graph._cfp
     except AttributeError:
         pass
-    ins: set[Instruction] = set()
+    # plain triples: making an Instruction per path and position took most
+    # of the time on K10's 109,601 paths
+    triples: set[tuple[str, str, str]] = set()
     for p in enumerate_sr_paths(graph):
-        ins.update(instructions_in(p))
-    found = frozenset(ins)
+        triples.update(zip(p, p[1:], p[2:]))
+    found = frozenset(Instruction(*t) for t in triples)
     object.__setattr__(graph, "_cfp", found)
     return found
 
@@ -332,14 +334,14 @@ def is_finite(protocol: Protocol) -> bool:
     return topological_order(StateGraph(protocol).essential()) is not None
 
 
-def essential_circuits(protocol: Protocol) -> list[tuple[State, ...]]:
-    """All elementary directed cycles among essential transitions, each
-    reported once, rotated to start at its lexicographically smallest state,
-    sorted."""
+def _circuits(protocol: Protocol) -> Iterator[tuple[State, ...]]:
+    """The elementary directed cycles among essential transitions, each
+    once, rotated to start at its least state, in increasing order: a
+    preorder search from each anchor in turn, trying successors in
+    ascending order, meets them in that order."""
     sg = StateGraph(protocol)
     ess = sg.essential()
     pred = _predecessors(ess)
-    cycles: list[tuple[int, ...]] = []
     for anchor, mask in enumerate(ess):
         if not mask:
             continue
@@ -366,16 +368,20 @@ def essential_circuits(protocol: Protocol) -> list[tuple[State, ...]]:
             path.append(j)
             on_path |= low
             if ess[j] & bit:
-                cycles.append(tuple(path))
+                yield tuple(sg.states[i] for i in path)
             pending.append(ess[j] & back & ~on_path)
-    cycles.sort()
-    return [tuple(sg.states[i] for i in cyc) for cyc in cycles]
+
+
+def essential_circuits(protocol: Protocol) -> list[tuple[State, ...]]:
+    """All elementary directed cycles among essential transitions, each
+    reported once, rotated to start at its smallest state, sorted."""
+    return list(_circuits(protocol))
 
 
 def finiteness_witness(protocol: Protocol) -> tuple[State, ...] | None:
-    """One essential circuit when the protocol is infinite, else None."""
-    circuits = essential_circuits(protocol)
-    return circuits[0] if circuits else None
+    """The least essential circuit when the protocol is infinite, else
+    None; the search stops at it."""
+    return next(_circuits(protocol), None)
 
 
 def a_walks(protocol: Protocol) -> list[Walk]:

@@ -530,21 +530,6 @@ def breakpoint_free_check(graph: TwoTerminalGraph, a: int, b: int) -> bool:
         root = bp.root
         if root.equals_rational(center):
             continue
-        while True:
-            if root.exact is not None:
-                dist = abs(root.exact - center)
-                if 0 < dist < radius:
-                    return False
-                break
-            if root.lo >= center:
-                if root.lo - center >= radius:
-                    break
-                if root.hi - center <= radius:
-                    return False
-            elif root.hi <= center:
-                if center - root.hi >= radius:
-                    break
-                if center - root.lo <= radius:
-                    return False
-            root.refine_once()
+        if root.compare_rational(center - radius) > 0 and root.compare_rational(center + radius) < 0:
+            return False
     return True

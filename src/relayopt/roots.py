@@ -29,16 +29,6 @@ from .polys import Poly, poly_gcd
 _PRIME = (1 << 61) - 1
 
 
-def squarefree_part(f: Poly) -> Poly:
-    if f.degree < 1:
-        return f.monic() if not f.is_zero else f
-    f = f.monic()
-    g = poly_gcd(f, f.derivative())
-    if g.degree < 1:
-        return f
-    return f.exact_div(g).monic()
-
-
 def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Square-free decomposition: f = c * prod g_i^i with the g_i square-free
     and pairwise coprime.  Returns the nonconstant (g_i, i) pairs."""
@@ -336,8 +326,6 @@ class AlgebraicNumber:
         through a root of the two defining polynomials' gcd in the overlap
         of the intervals.  The gcd is built only when a modular gcd cannot
         prove the polynomials coprime."""
-        if self.exact is not None and other.exact is not None:
-            return (self.exact > other.exact) - (self.exact < other.exact)
         if self.exact is not None:
             return -other.compare_rational(self.exact)
         if other.exact is not None:
@@ -372,10 +360,7 @@ class AlgebraicNumber:
         return self.compare(other) == 0
 
     def approx(self) -> float:
-        if self.exact is not None:
-            return float(self.exact)
-        probe = self
-        return float((probe.lo + probe.hi) / 2)
+        return float((self.lo + self.hi) / 2)
 
     def __repr__(self) -> str:
         if self.exact is not None:
@@ -394,23 +379,6 @@ def _isolate(poly: Poly, num) -> list[AlgebraicNumber]:
             root = AlgebraicNumber.rational(Fraction(c, 1 << k))
         roots.append(root)
     return roots
-
-
-def isolate_roots_01(f: Poly) -> list[AlgebraicNumber]:
-    """Isolating intervals for the distinct roots of ``f`` in open (0,1),
-    sorted increasingly.  ``f`` need not be square-free."""
-    if f.is_zero or f.degree < 1:
-        return []
-    # without its roots at 0 and 1, a root beside them needs no bisection
-    # to keep the interval's ends off them
-    num = _without_ends(f.num)
-    if len(num) < 2:
-        return []
-    sf = Poly(num).monic()
-    if not _squarefree(num):
-        sf = squarefree_part(sf)
-        num = sf.num
-    return _isolate(sf, num)
 
 
 def roots_with_multiplicity(f: Poly) -> list[tuple[AlgebraicNumber, int]]:
@@ -446,38 +414,21 @@ def roots_with_multiplicity(f: Poly) -> list[tuple[AlgebraicNumber, int]]:
     return found
 
 
+def isolate_roots_01(f: Poly) -> list[AlgebraicNumber]:
+    """The distinct roots of ``f`` in open (0,1), increasing."""
+    return [root for root, _ in roots_with_multiplicity(f)]
+
+
 def rational_between(left, right) -> Fraction:
-    """A rational strictly between two points, each a Fraction or an
-    AlgebraicNumber.  Refines intervals as needed."""
-    if isinstance(left, AlgebraicNumber) and left.exact is not None:
-        left = left.exact
-    if isinstance(right, AlgebraicNumber) and right.exact is not None:
-        right = right.exact
-    if isinstance(left, Fraction) and isinstance(right, Fraction):
-        if not left < right:
-            raise ValueError("empty interval")
-        return (left + right) / 2
+    """A rational strictly between two points ``left`` < ``right``, each a
+    Fraction or an AlgebraicNumber.  Refines intervals as needed."""
     if isinstance(left, Fraction):
-        assert isinstance(right, AlgebraicNumber)
-        while not right.lo > left:
-            right.refine_once()
-            if right.exact is not None:
-                return rational_between(left, right.exact)
-        return (left + right.lo) / 2
+        left = AlgebraicNumber.rational(left)
     if isinstance(right, Fraction):
-        assert isinstance(left, AlgebraicNumber)
-        while not left.hi < right:
-            left.refine_once()
-            if left.exact is not None:
-                return rational_between(left.exact, right)
-        return (left.hi + right) / 2
-    assert isinstance(left, AlgebraicNumber) and isinstance(right, AlgebraicNumber)
+        right = AlgebraicNumber.rational(right)
+    if left.compare(right) >= 0:
+        raise ValueError("empty interval")
     while not left.hi < right.lo:
         left.refine_once()
         right.refine_once()
-        if left.exact is not None or right.exact is not None:
-            return rational_between(
-                left.exact if left.exact is not None else left,
-                right.exact if right.exact is not None else right,
-            )
     return (left.hi + right.lo) / 2

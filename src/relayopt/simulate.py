@@ -43,7 +43,7 @@ from functools import partial
 from itertools import compress, repeat
 from typing import Callable, Sequence
 
-from .engine import StateSweep, a_walks, is_finite
+from .engine import StateSweep, a_walks
 from .errors import GuardExceededError, InfiniteProtocolError
 from .graphs import EdgeProbabilityMap, Protocol, edge_key, require_open_unit
 from .polys import Poly
@@ -216,10 +216,10 @@ def simulate(
         raise ValueError("the number of trials must be at least 1")
     if not SEED_MIN <= seed <= SEED_MAX:
         raise ValueError("the seed must fit in a signed 64-bit integer")
-    if count_copies and not is_finite(protocol):
+    sweep = StateSweep(protocol)
+    if count_copies and sweep.order is None:
         raise InfiniteProtocolError("copy counting needs a finite protocol")
     m = protocol.graph.m
-    sweep = StateSweep(protocol)
     threshold = (p0.numerator * _SCALE) // p0.denominator
     base = hashlib.blake2b(key=seed.to_bytes(8, "big", signed=True), digest_size=64)
     draw = partial(_survival_digits, base, m, threshold)

@@ -57,6 +57,12 @@ def random_graph(rng: random.Random, m: int) -> TwoTerminalGraph:
     return TwoTerminalGraph(verts, rng.sample(pairs, m), "s", "r")
 
 
+def complete_graph(n: int) -> TwoTerminalGraph:
+    """K_n on the vertices 0..n-1, from s = 0 to r = n - 1."""
+    verts = [str(i) for i in range(n)]
+    return TwoTerminalGraph(verts, [(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]], "0", str(n - 1))
+
+
 def relabeled(graph: TwoTerminalGraph, rng: random.Random) -> TwoTerminalGraph:
     """The graph with every vertex, s and r included, renamed to a random
     letter: the renaming reorders states, instructions and removal sets."""

@@ -14,7 +14,7 @@ from relayopt.constructions import path_graph
 from relayopt.graphs import EdgeProbabilityMap, TwoTerminalGraph, b0, graph_json, protocol_json
 from relayopt.polys import Poly
 
-from conftest import diamond_chain
+from conftest import complete_graph, diamond_chain
 
 
 def run_cli(argv, stdin_text=""):
@@ -541,6 +541,24 @@ def test_witness_on_a_long_circuit():
     witness = tuple(tuple(state) for state in obj["witness"])
     assert not obj["finite"] and len(witness) == 1026
     assert essential_circuits(cfp(graph)) == [witness]
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_witness_on_a_complete_graph_stops_at_the_least_circuit(n):
+    """K8's CFP has far more essential circuits than K7's 46,308; the
+    witness search stops at the first, so the command answers at once."""
+    graph = complete_graph(n)
+    start = time.perf_counter()
+    status, out, err = run_cli(["finite", "--witness"], json.dumps(graph_json(graph)))
+    assert time.perf_counter() - start < 1
+    assert status == 0 and not err
+    obj = json.loads(out)
+    assert obj["finite"] is False
+    witness = [tuple(state) for state in obj["witness"]]
+    instructions = cfp(graph).instructions
+    assert len(witness) >= 2
+    assert all(a[1] == b[0] and (a[0], a[1], b[1]) in instructions
+               for a, b in zip(witness, witness[1:] + witness[:1]))
 
 
 def _crossing_pair_b0_text(names=None, orders=(1,), extra=None):

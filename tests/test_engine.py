@@ -28,7 +28,7 @@ from relayopt.engine import StateGraph, topological_order
 from relayopt.graphs import b0
 from relayopt.optimizer import circuit_instructions
 
-from conftest import brute_force_walks, random_connected_graph
+from conftest import brute_force_walks, complete_graph, random_connected_graph
 
 B0_CFP = {
     ("s", "1", "3"), ("s", "1", "4"), ("s", "2", "3"), ("s", "2", "5"),
@@ -174,6 +174,25 @@ def test_essential_circuits_with_back_instructions(b0_cfp):
     circuits = essential_circuits(plus)
     assert len(circuits) >= 2
     assert (("1", "3"), ("3", "4"), ("4", "1")) in circuits
+
+
+def test_witness_is_the_least_circuit():
+    """The circuits come out sorted without repeats, and the witness, where
+    the search stops, is the first of them."""
+    rng = random.Random(19)
+    protocols = [cfp(complete_graph(6)), cfp(complete_graph(7))]
+    for _ in range(60):
+        astar = cfp(random_connected_graph(rng, 6, 16))
+        ins = sorted(astar.instructions)
+        protocols += [astar, astar.minus(rng.sample(ins, len(ins) // 4))]
+    infinite = 0
+    for proto in protocols:
+        circuits = essential_circuits(proto)
+        assert circuits == sorted(set(circuits))
+        assert finiteness_witness(proto) == (circuits[0] if circuits else None)
+        infinite += bool(circuits)
+    assert len(essential_circuits(protocols[1])) == 46_308
+    assert 15 <= infinite < len(protocols)
 
 
 # -- walks ----------------------------------------------------------------------

@@ -293,6 +293,26 @@ def test_breakpoint_free_check_cases(b0_graph):
         breakpoint_free_check(b0_graph, 2, 1)
 
 
+@pytest.mark.parametrize("offset, free", [(Fraction(1, 2), False), (Fraction(1), True), (Fraction(0), True),
+                                          (Fraction(-1, 2), False), (Fraction(-1), True)])
+def test_breakpoint_free_check_inexact_rational_breakpoint(monkeypatch, offset, free):
+    """One breakpoint at the rational center + offset * radius, given as
+    the root of a linear polynomial on (0, 1): the bisection points are
+    dyadic and the breakpoint is not, so refinement never makes it exact.
+    Inside the radius it is a breakpoint near the center; on the radius's
+    end or at the center itself it is not."""
+    graph = realize(path_graph(3))
+    center = Fraction(1, 3)
+    radius = Fraction(1, 9 ** graph.m)
+    point = center + offset * radius
+    root = AlgebraicNumber(Poly((-point, 1)), Fraction(0), Fraction(1))
+    assert root.exact is None
+    envelope = optimizer.PiecewiseReliability([], [optimizer.Breakpoint(root, 1)])
+    monkeypatch.setattr(optimizer, "rho_hat_piecewise", lambda graph, probmap: envelope)
+    assert breakpoint_free_check(graph, 1, 3) is free
+    assert root.exact is None
+
+
 # -- dominance pruning ---------------------------------------------------------------
 
 def _all_distinct_candidates(graph, probmap=None):

@@ -7,13 +7,12 @@ import pytest
 
 from relayopt.errors import ProbabilityError
 from relayopt.graphs import _check_range
-from relayopt.polys import Poly
+from relayopt.polys import Poly, poly_gcd
 from relayopt.roots import (
     AlgebraicNumber,
     isolate_roots_01,
     rational_between,
     roots_with_multiplicity,
-    squarefree_part,
     yun_decomposition,
 )
 
@@ -37,6 +36,12 @@ def sturm_chain(f: Poly) -> list[Poly]:
             break
         chain.append(primitive(-r))
     return chain
+
+
+def squarefree_part(f: Poly) -> Poly:
+    """f divided by its gcd with its derivative, made monic."""
+    g = poly_gcd(f, f.derivative())
+    return (f.exact_div(g) if g.degree >= 1 else f).monic()
 
 
 def sign_variations(values: list[Fraction]) -> int:
@@ -134,6 +139,38 @@ def test_rational_between():
     assert 0 < q2 and golden.compare_rational(q2) > 0
     q3 = rational_between(golden, Fraction(1))
     assert q3 < 1 and golden.compare_rational(q3) < 0
+
+
+def _golden() -> AlgebraicNumber:
+    return isolate_roots_01(GOLDEN)[0]
+
+
+def _third() -> AlgebraicNumber:
+    """1/3 as the root of 3p - 1 on (0, 1): never a bisection point, so it
+    stays inexact however far it is refined."""
+    return AlgebraicNumber(Poly((-1, 3)), Fraction(0), Fraction(1))
+
+
+# reversed or equal pairs, built afresh for each use since refinement mutates
+EMPTY_PAIRS = {
+    "fraction, fraction reversed": lambda: (Fraction(1, 2), Fraction(1, 3)),
+    "fraction, fraction equal": lambda: (Fraction(1, 2), Fraction(1, 2)),
+    "algebraic, fraction reversed": lambda: (_golden(), Fraction(1, 2)),
+    "algebraic, fraction equal": lambda: (_third(), Fraction(1, 3)),
+    "fraction, algebraic reversed": lambda: (Fraction(7, 10), _golden()),
+    "fraction, algebraic equal": lambda: (Fraction(1, 3), _third()),
+    "algebraic, algebraic reversed": lambda: (_golden(), _third()),
+    "algebraic, exact algebraic equal": lambda: (_third(), AlgebraicNumber.rational(Fraction(1, 3))),
+    "algebraic, algebraic equal": lambda: (_golden(), isolate_roots_01(GOLDEN * (X - Fraction(1, 5)))[1]),
+    "same algebraic number": lambda: (_golden(),) * 2,
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_PAIRS)
+def test_rational_between_refuses_an_empty_interval(case):
+    left, right = EMPTY_PAIRS[case]()
+    with pytest.raises(ValueError):
+        rational_between(left, right)
 
 
 def test_dyadic_cell_depends_only_on_the_root():
@@ -328,16 +365,32 @@ def test_differential_against_sturm_reference(seed):
     found = [(*printed(root), mult) for root, mult in roots_with_multiplicity(f)]
     assert all(right[1] > left[0] for (left, _, _), (right, _, _) in zip(found, found[1:]))
     assert sorted(((cell, mult, poly) for cell, poly, mult in found), key=lambda t: t[:2]) == expected
-    # distinct roots, within the square-free part without p and p - 1
-    sf = _monic_product(g for fs in groups.values() for g in fs if g not in (X, X - 1))
-    cells = sorted(reference_cells(sf))
-    isolated = isolate_roots_01(f)
-    assert all(root.exact is not None or root.poly == sf for root in isolated)
-    assert [printed(root)[0] for root in isolated] == cells
+    # the distinct roots are those found with multiplicities: same cells,
+    # same polynomials
+    with_multiplicity = [(cell, poly) for cell, poly, _ in found]
+    assert [printed(root) for root in isolate_roots_01(f)] == with_multiplicity
     # the cell does not depend on how far the root was refined before
     for root in isolate_roots_01(f):
         root.refine_below(Fraction(1, 1 << 26))
-        assert printed(root)[0] in cells
+        assert printed(root) in with_multiplicity
+
+
+@pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+def test_rational_between_differential_roots(seed):
+    """A rational strictly between random ordered pairs of the
+    differential's roots, 0 and 1 among them."""
+    rng = random.Random(seed)
+    groups, _ = random_factored(rng)
+    f = _monic_product(g ** mult for mult, fs in groups.items() for g in fs)
+    count = len(roots_with_multiplicity(f)) + 2
+    for _ in range(6):
+        i, j = sorted(rng.sample(range(count), 2))
+        points = [Fraction(0), *(root for root, _ in roots_with_multiplicity(f)), Fraction(1)]
+        left, right = points[i], points[j]
+        q = rational_between(left, right)
+        assert 0 < q < 1
+        assert i == 0 or left.compare_rational(q) < 0
+        assert j == count - 1 or right.compare_rational(q) > 0
 
 
 def test_differential_covers_each_kind_of_input():
