@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .engine import StateSweep, _cfp_instructions, bounded_protocol, enumerate_sr_paths, is_finite
+from .engine import StateGraph, _cfp_instructions, bounded_protocol, enumerate_sr_paths, is_finite
 from .errors import DomainError, InfiniteProtocolError
 from .graphs import Protocol, TwoTerminalGraph
 from .reliability import (
@@ -122,8 +122,8 @@ def robustness(protocol: Protocol) -> int:
     graph = protocol.graph
     m = graph.m
     check_scan_guard(m)
-    walks = StateSweep(protocol)
-    if walks.order is None:
+    sg = StateGraph(protocol)
+    if sg.order is None:
         raise InfiniteProtocolError("infinite protocol")
     if protocol.instructions >= _cfp_instructions(graph):
         return m
@@ -131,6 +131,6 @@ def robustness(protocol: Protocol) -> int:
         connected = connected_worlds(graph, columns, (1 << comb(m, k)) - 1)
         if not connected:
             break
-        if connected & ~walks.delivered(columns):
+        if connected & ~sg.delivered(columns):
             return k - 1
     return m

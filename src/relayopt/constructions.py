@@ -450,6 +450,16 @@ def _compose_pairs(a: tuple[SPTree, SPTree], b: tuple[SPTree, SPTree]) -> tuple[
     return kelmans_compose(a[0], a[1], b[0], b[1])
 
 
+def _check_build(edges: int) -> None:
+    """Refuse a pair side of more than ``MAX_BUILD_EDGES`` edges.  Composing
+    only adds edges (both composed sides have the edges of all four
+    inputs), so a pair past the guard can only grow into a larger one:
+    every pair is checked as it is built, and a base pair from its size
+    before."""
+    if edges > MAX_BUILD_EDGES:
+        raise GuardExceededError(f"crossing pair exceeds {MAX_BUILD_EDGES} edges")
+
+
 def build_crossing_pair(orders: Sequence[int]) -> tuple[SPTree, SPTree]:
     """Series-parallel pair whose reliability difference has profile exactly
     ``orders``: the i-th root (in increasing order) gets multiplicity
@@ -464,15 +474,15 @@ def build_crossing_pair(orders: Sequence[int]) -> tuple[SPTree, SPTree]:
         # Roots decrease as the chain length k grows, so the i-th smallest
         # root comes from the pair with k = t + 2 - i.
         k = t + 2 - i
+        _check_build(2 * k)  # the larger side of ``_base_pair(k)``
         part = _base_pair(k)
         powered = part
         for _ in range(mult - 1):
             powered = _compose_pairs(powered, part)
+            _check_build(powered[0].edge_count)
         combined = powered if combined is None else _compose_pairs(combined, powered)
-    h1, h2 = combined
-    if h1.edge_count > MAX_BUILD_EDGES or h2.edge_count > MAX_BUILD_EDGES:
-        raise GuardExceededError(f"crossing pair exceeds {MAX_BUILD_EDGES} edges")
-    return h1, h2
+        _check_build(combined[0].edge_count)
+    return combined
 
 
 def build_breakpoint_graph(orders: Sequence[int]) -> TwoTerminalGraph:

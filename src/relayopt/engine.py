@@ -14,10 +14,10 @@ through a state (y,r).  Under this encoding:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import GuardExceededError, InfiniteProtocolError
-from .graphs import Instruction, Protocol, TwoTerminalGraph, edge_key
+from .graphs import Instruction, Protocol, TwoTerminalGraph
 
 State = tuple[str, str]
 Walk = tuple[str, ...]
@@ -207,69 +207,86 @@ def topological_order(adjacency: Sequence[int]) -> list[int] | None:
 
 
 class StateGraph:
-    """Directed graph on ordered adjacent vertex pairs for one protocol.
+    """Directed graph on ordered adjacent vertex pairs for one protocol: the
+    one walk object, read by finiteness, walks, circuits, the walk tables
+    and the Monte Carlo sweep.
 
     States are numbered in sorted order.  ``succ[i]`` is the bitmask of
-    state i's successors and ``out[i]`` the same successors as an ascending
-    tuple; ``edge[i]`` is the canonical index of the edge under state i;
-    ``initial`` lists the states (s, x) and ``accepting`` is the bitmask of
-    the states (y, r).  Every walk over it is iterative."""
+    state i's successors and ``edge[i]`` the canonical index of the edge
+    under state i; ``initial`` lists the states (s, x), ``initial_mask``
+    holds them as a bitmask, and ``accepting`` is the bitmask of the states
+    (y, r).  ``useful`` is the bitmask of the states reachable from an
+    initial state and co-reaching an accepting one.  ``essential[i]`` is
+    ``succ[i]`` cut to useful states, and ``arcs[i]`` lists the same
+    successors ascending.  ``order`` is the useful states, each before its
+    essential successors, or None when the protocol is infinite (the
+    essential transitions hold a cycle).  Every walk over it is iterative."""
 
-    __slots__ = ("graph", "states", "index", "succ", "initial", "accepting")
+    __slots__ = ("graph", "states", "edge", "succ", "initial", "initial_mask", "accepting", "useful",
+                 "essential", "arcs", "order")
 
     def __init__(self, protocol: Protocol):
         graph = protocol.graph
-        edges = graph.edge_list()
-        states = sorted([(u, v) for u, v in edges] + [(v, u) for u, v in edges])
-        index = {st: i for i, st in enumerate(states)}
-        succ = [0] * len(states)
+        pairs = sorted((st, k) for k, (u, v) in enumerate(graph.edge_list()) for st in ((u, v), (v, u)))
+        self.graph = graph
+        self.states = tuple(st for st, _ in pairs)
+        self.edge = tuple(k for _, k in pairs)
+        index = {st: i for i, st in enumerate(self.states)}
+        succ = [0] * len(pairs)
         for u, v, w in protocol.instructions:
             succ[index[(u, v)]] |= 1 << index[(v, w)]
-        accepting = 0
-        for y in graph.neighbors(graph.r):
-            accepting |= 1 << index[(y, graph.r)]
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "states", tuple(states))
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "succ", tuple(succ))
-        object.__setattr__(
-            self, "initial",
-            tuple(index[(graph.s, x)] for x in graph.neighbors(graph.s)),
-        )
-        object.__setattr__(self, "accepting", accepting)
+        self.succ = tuple(succ)
+        self.initial = tuple(index[(graph.s, x)] for x in graph.neighbors(graph.s))
+        self.initial_mask = sum(1 << i for i in self.initial)
+        self.accepting = sum(1 << index[(y, graph.r)] for y in graph.neighbors(graph.r))
+        self.useful = useful = _useful(succ, _predecessors(succ), self.initial_mask, self.accepting)
+        self.essential = essential = tuple(_essential(succ, useful))
+        self.arcs = tuple(map(_bits, essential))
+        order = topological_order(essential)
+        self.order = None if order is None else tuple(i for i in order if useful >> i & 1)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StateGraph is immutable")
+    def delivered(self, columns: Sequence[int]) -> int:
+        """Bitset of the worlds (sampled trials, or edge subsets) in which
+        some protocol walk survives, given each edge's survival column."""
+        return _sweep(self.arcs, [columns[e] for e in self.edge], self.initial, _bits(self.accepting))
 
-    # ``out`` and ``edge`` are derived on demand: the finiteness test, run
-    # once per candidate removal set, needs neither.
-    @property
-    def out(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(_bits, self.succ))
+    def admission_test(self) -> Callable[[int], bool]:
+        """The test of whether one edge subset (bit e for the e-th edge)
+        admits a protocol walk: a depth-first search over the states whose
+        edges it holds, stopping at the first accepting state it pushes.
+        The edge bits are taken once, for the 2^m calls of a walk table."""
+        ebit = [1 << e for e in self.edge]
+        arcs = self.arcs
+        acc = self.accepting
+        initial = self.initial
 
-    @property
-    def edge(self) -> tuple[int, ...]:
-        position = {e: k for k, e in enumerate(self.graph.edge_list())}
-        return tuple(position[edge_key(u, v)] for u, v in self.states)
+        def test(S: int) -> bool:
+            seen = 0
+            stack = []
+            for i in initial:
+                if ebit[i] & S:
+                    b = 1 << i
+                    if acc & b:
+                        return True
+                    seen |= b
+                    stack.append(i)
+            while stack:
+                for j in arcs[stack.pop()]:
+                    b = 1 << j
+                    if seen & b or not ebit[j] & S:
+                        continue
+                    if acc & b:
+                        return True
+                    seen |= b
+                    stack.append(j)
+            return False
 
-    def useful(self) -> int:
-        """Bitmask of the states on some initial-to-accepting state walk:
-        reachable from an initial state and co-reaching an accepting one."""
-        return _useful(self.succ, _predecessors(self.succ), self.initial_mask, self.accepting)
-
-    @property
-    def initial_mask(self) -> int:
-        return sum(1 << i for i in self.initial)
-
-    def essential(self) -> list[int]:
-        """Successor masks of the essential transitions, those lying on some
-        initial-to-accepting state walk: both ends useful."""
-        return _essential(self.succ, self.useful())
+        return test
 
     def circuit_transitions(self) -> list[tuple[int, int]]:
         """Essential transitions i -> j lying on an essential circuit, i.e.
         with i reachable from j, in ascending order."""
-        ess = self.essential()
+        ess = self.essential
         back: dict[int, int] = {}
         pairs = []
         for i, mask in enumerate(ess):
@@ -289,35 +306,12 @@ class StateGraph:
         return (first[0],) + tuple(self.states[i][1] for i in state_path)
 
 
-class StateSweep:
-    """The protocol's useful states (reachable from an initial state and
-    co-reaching an accepting one), each with the index of its edge, and
-    their topological order when the protocol is finite: the nodes of the
-    bit-sliced walk sweep."""
-
-    def __init__(self, protocol: Protocol):
-        sg = StateGraph(protocol)
-        useful = sg.useful()
-        essential = sg.essential()
-        self.edge = sg.edge
-        self.succ = [tuple(j for j in out if mask >> j & 1) for out, mask in zip(sg.out, essential)]
-        self.initial = [i for i in sg.initial if useful >> i & 1]
-        self.accepting = [i for i in range(len(essential)) if (sg.accepting & useful) >> i & 1]
-        order = topological_order(essential)
-        self.order = None if order is None else [i for i in order if useful >> i & 1]
-
-    def delivered(self, columns: Sequence[int]) -> int:
-        """Bitset of the worlds (sampled trials, or edge subsets) in which
-        some protocol walk survives, given each edge's survival column."""
-        return _sweep(self.succ, [columns[e] for e in self.edge], self.initial, self.accepting)
-
-
 def essential_instructions(protocol: Protocol) -> frozenset[Instruction]:
     """Instructions of the protocol contained in at least one protocol walk
     from s to r: the start state is reachable, the end state co-reaches an
     accepting state, and the transition itself exists."""
     sg = StateGraph(protocol)
-    return frozenset(sg.instruction_of(i, j) for i, mask in enumerate(sg.essential()) for j in _bits(mask))
+    return frozenset(sg.instruction_of(i, j) for i, arcs in enumerate(sg.arcs) for j in arcs)
 
 
 def strongly_essential_instructions(protocol: Protocol) -> frozenset[Instruction]:
@@ -331,7 +325,7 @@ def strongly_essential_instructions(protocol: Protocol) -> frozenset[Instruction
 def is_finite(protocol: Protocol) -> bool:
     """True iff the protocol has finitely many s,r-walks, i.e. the essential
     transition subgraph of its state graph is acyclic."""
-    return topological_order(StateGraph(protocol).essential()) is not None
+    return StateGraph(protocol).order is not None
 
 
 def _circuits(protocol: Protocol) -> Iterator[tuple[State, ...]]:
@@ -340,7 +334,9 @@ def _circuits(protocol: Protocol) -> Iterator[tuple[State, ...]]:
     preorder search from each anchor in turn, trying successors in
     ascending order, meets them in that order."""
     sg = StateGraph(protocol)
-    ess = sg.essential()
+    if sg.order is not None:
+        return
+    ess = sg.essential
     pred = _predecessors(ess)
     for anchor, mask in enumerate(ess):
         if not mask:
@@ -392,9 +388,9 @@ def a_walks(protocol: Protocol) -> list[Walk]:
     of a finite protocol is acyclic, so the enumeration terminates.
     """
     sg = StateGraph(protocol)
-    ess = sg.essential()
-    if topological_order(ess) is None:
+    if sg.order is None:
         raise InfiniteProtocolError("infinite protocol")
+    ess = sg.essential
     walks: list[Walk] = []
     # One mask of untried successors per state on the path, below a first
     # mask of the initial states; a state is recorded when it is entered.

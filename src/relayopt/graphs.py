@@ -22,7 +22,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .polys import Poly, format_rational, parse_rational
-from .roots import isolate_roots_01
+from .roots import _taylor_shift, isolate_roots_01
 
 Edge = tuple[str, str]
 
@@ -287,12 +287,12 @@ def _bernstein_in_unit(poly: Poly) -> bool:
     on [0,1], n its degree, lies in [0,1].  For poly = num / den the k-th
     coefficient is sum_{j<=k} C(k,j) / C(n,j) * num_j / den, and
     C(k,j) / C(n,j) = C(n-j, k-j) / C(n,k), so the bounds are tested on
-    integers: 0 <= sum_{j<=k} C(n-j, k-j) * num_j <= C(n,k) * den."""
+    integers: 0 <= sum_{j<=k} C(n-j, k-j) * num_j <= C(n,k) * den.  Those
+    sums are the coefficients of x^(n-k) in sum_j num_j (x + 1)^(n-j): the
+    reversed numerator, Taylor shifted by one."""
     n, num, den = poly.degree, poly.num, poly.den
-    return all(
-        0 <= sum(math.comb(n - j, k - j) * num[j] for j in range(k + 1)) <= math.comb(n, k) * den
-        for k in range(n + 1)
-    )
+    sums = _taylor_shift(num[::-1])[::-1]
+    return all(0 <= c <= math.comb(n, k) * den for k, c in enumerate(sums))
 
 
 def _check_range(e: Edge, poly: Poly) -> None:

@@ -27,13 +27,13 @@ block of the table.  The polynomial is assembled from those counts.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .engine import StateGraph, _bits, _cfp_instructions, _sweep, a_paths, cfp
 from .errors import GuardExceededError
 from .graphs import Edge, EdgeProbabilityMap, Protocol, TwoTerminalGraph, edge_key
 from .polys import Poly, _canonical
+from .roots import _taylor_shift
 
 # The most edges an exhaustive subset scan takes.  A table or column over
 # 2^m subsets takes 2^m/8 bytes, and the connectivity sweep keeps about 3m
@@ -77,46 +77,6 @@ def _column(m: int, e: int) -> int:
     return column if m >= 3 else column & _full(m)
 
 
-class WalkAdmission:
-    """Subset-restricted reachability test for one protocol."""
-
-    __slots__ = ("m", "ebit", "out", "initial", "accepting_mask")
-
-    def __init__(self, protocol: Protocol):
-        sg = StateGraph(protocol)
-        self.m = protocol.graph.m
-        self.ebit = [1 << e for e in sg.edge]
-        self.out = sg.out
-        self.initial = sg.initial
-        self.accepting_mask = sg.accepting
-
-    def test(self, S: int) -> bool:
-        ebit = self.ebit
-        out = self.out
-        acc = self.accepting_mask
-        seen = 0
-        stack = []
-        for i in self.initial:
-            if ebit[i] & S:
-                b = 1 << i
-                if acc & b:
-                    return True
-                if not seen & b:
-                    seen |= b
-                    stack.append(i)
-        while stack:
-            i = stack.pop()
-            for j in out[i]:
-                b = 1 << j
-                if seen & b or not ebit[j] & S:
-                    continue
-                if acc & b:
-                    return True
-                seen |= b
-                stack.append(j)
-        return False
-
-
 def monotone_table(m: int, test: Callable[[int], bool]) -> bytearray:
     """Indicator table of a monotone subset property over all 2^m subsets."""
     table = bytearray(1 << m)
@@ -158,7 +118,7 @@ def admits_table(protocol: Protocol) -> int:
     check_scan_guard(graph.m)
     if protocol.instructions >= _cfp_instructions(graph):
         return connectivity_table(graph)
-    return _packed(monotone_table(graph.m, WalkAdmission(protocol).test))
+    return _packed(monotone_table(graph.m, StateGraph(protocol).admission_test()))
 
 
 def subset_admits_walk(protocol: Protocol, subset: Iterable[tuple[str, str]]) -> bool:
@@ -384,12 +344,11 @@ def polynomial_from_counts(
     """Assemble the polynomial whose coordinates in the subset-count basis
     are ``counts`` (as returned by ``subset_counts``).  A pattern's plain
     part sum_i c_i p^i (1-p)^(n-i) has integer coefficients: that of p^k is
-    sum_{i<=k} c_i C(n-i, k-i) (-1)^(k-i).  Its override factor is the
-    factor of the pattern on the overridden edges before the last one,
-    times w or 1 - w of that edge."""
+    sum_{i<=k} c_i C(n-i, k-i) (-1)^(k-i), the coefficient of x^(n-k) in
+    sum_i c_i (x - 1)^(n-i): the reversed counts, Taylor shifted by -1.
+    Its override factor is the factor of the pattern on the overridden
+    edges before the last one, times w or 1 - w of that edge."""
     wpolys, spos = _edge_polynomials(graph, probmap)
-    n = graph.m - len(spos)
-    signed = [[(-1) ** t * comb(j, t) for t in range(j + 1)] for j in range(n + 1)]
     factors = [Poly.one()]
     for pos in spos:
         w = wpolys[pos]
@@ -397,12 +356,7 @@ def polynomial_from_counts(
         factors = [f * rest for f in factors] + [f * w for f in factors]
     total = Poly.zero()
     for factor, row in zip(factors, counts):
-        plain = [0] * (n + 1)
-        for i, c in enumerate(row):
-            if c:
-                for k, b in enumerate(signed[n - i], i):
-                    plain[k] += c * b
-        total = total + factor * _canonical(plain, 1)
+        total = total + factor * _canonical(_taylor_shift(row[::-1], -1)[::-1], 1)
     return total
 
 
@@ -435,8 +389,10 @@ def rho(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None = None) -> P
 
 
 def rho_by_connectivity(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None = None) -> Poly:
-    """Independent cross-check: s,r-connectivity of each subset, from the
-    graph alone (no protocol or state graph)."""
+    """Two-terminal reliability from the s,r-connectivity of each subset,
+    from the graph alone.  ``rho`` reads the same connectivity table (the
+    CFP contains the CFP), so this is no independent check of it; the path
+    table of the CFP (``rho_prime_A``) and ``subset_admits_walk`` are."""
     table = connectivity_table(graph)
     return polynomial_from_table(graph, probmap, table)
 

@@ -43,7 +43,7 @@ from functools import partial
 from itertools import compress, repeat
 from typing import Callable, Sequence
 
-from .engine import StateSweep, a_walks
+from .engine import StateGraph, a_walks
 from .errors import GuardExceededError, InfiniteProtocolError
 from .graphs import EdgeProbabilityMap, Protocol, edge_key, require_open_unit
 from .polys import Poly
@@ -123,7 +123,7 @@ def _compact(digits: list[bytes], drop: bytes) -> list[bytes]:
     return [kept[i:i + k] for i in range(0, len(kept), k)]
 
 
-def _deliveries(sweep: StateSweep, draw: Callable[[Sequence[int], int], list[bytes]], m: int,
+def _deliveries(sg: StateGraph, draw: Callable[[Sequence[int], int], list[bytes]], m: int,
                 trials: Sequence[int]) -> int:
     """Number of the trials ``trials`` in which some protocol walk survives.
 
@@ -143,7 +143,7 @@ def _deliveries(sweep: StateSweep, draw: Callable[[Sequence[int], int], list[byt
     for blk in range(1, (m + _PER_DIGEST - 1) // _PER_DIGEST):
         n = len(trials)
         both = [c << n | c for c in map(_binary, digits)] + [((1 << n) - 1) << n] * (m - len(digits))
-        got = sweep.delivered(both)
+        got = sg.delivered(both)
         lo, hi = got & (1 << n) - 1, got >> n
         delivered += lo.bit_count()
         if hi == lo:
@@ -151,23 +151,22 @@ def _deliveries(sweep: StateSweep, draw: Callable[[Sequence[int], int], list[byt
         undecided = format(hi & ~lo, f"0{n}b").encode()
         trials = list(compress(trials, undecided.translate(_KEEP)))
         digits = _compact(digits, undecided.translate(_DROP)) + draw(trials, blk)
-    return delivered + sweep.delivered(list(map(_binary, digits))).bit_count()
+    return delivered + sg.delivered(list(map(_binary, digits))).bit_count()
 
 
-def _copy_counts(sweep: StateSweep, columns: list[int], trials: int) -> dict[int, int]:
+def _copy_counts(sg: StateGraph, columns: list[int], trials: int) -> dict[int, int]:
     """Histogram of the number of surviving protocol walks over the trials
     of the bitset ``trials``, given each edge's survival column.  Needs the
     topological order, so the protocol must be finite."""
-    accepting = set(sweep.accepting)
-    planes: list[list[int]] = [[] for _ in sweep.succ]
-    for i in reversed(sweep.order):
-        total = [trials] if i in accepting else []
-        for j in sweep.succ[i]:
+    planes: list[list[int]] = [[] for _ in sg.arcs]
+    for i in reversed(sg.order):
+        total = [trials] if sg.accepting >> i & 1 else []
+        for j in sg.arcs[i]:
             total = _add(total, planes[j])
-        col = columns[sweep.edge[i]]
+        col = columns[sg.edge[i]]
         planes[i] = [p & col for p in total]
     total = []
-    for i in sweep.initial:
+    for i in sg.initial:
         total = _add(total, planes[i])
     groups = {0: trials}
     for k in reversed(range(len(total))):
@@ -216,8 +215,8 @@ def simulate(
         raise ValueError("the number of trials must be at least 1")
     if not SEED_MIN <= seed <= SEED_MAX:
         raise ValueError("the seed must fit in a signed 64-bit integer")
-    sweep = StateSweep(protocol)
-    if count_copies and sweep.order is None:
+    sg = StateGraph(protocol)
+    if count_copies and sg.order is None:
         raise InfiniteProtocolError("copy counting needs a finite protocol")
     m = protocol.graph.m
     threshold = (p0.numerator * _SCALE) // p0.denominator
@@ -229,12 +228,12 @@ def simulate(
     for first in range(0, trials, BLOCK):
         batch = range(first, min(first + BLOCK, trials))
         if not count_copies:
-            deliveries += _deliveries(sweep, draw, m, batch)
+            deliveries += _deliveries(sg, draw, m, batch)
             continue
         # copy counts need every edge, so every trial draws every block
         columns = [_binary(row) for blk in range(blocks) for row in draw(batch, blk)]
-        deliveries += sweep.delivered(columns).bit_count()
-        counts = _copy_counts(sweep, columns, (1 << len(batch)) - 1)
+        deliveries += sg.delivered(columns).bit_count()
+        counts = _copy_counts(sg, columns, (1 << len(batch)) - 1)
         if max(counts) > COPY_CAP:
             raise GuardExceededError(f"more than {COPY_CAP} surviving walks in one trial")
         histogram.update(counts)

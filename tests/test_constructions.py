@@ -322,6 +322,18 @@ def test_crossing_pair_guards(monkeypatch):
         build_crossing_pair((1,) * 6)
 
 
+def test_crossing_pair_guard_is_checked_while_composing():
+    """Composing only adds edges, so a pair is refused as soon as one built
+    on the way passes the guard.  Checked only at the end, each of these
+    composed for minutes."""
+    refused = f"crossing pair exceeds {constructions.MAX_BUILD_EDGES} edges"
+    for orders in ((3_000_000,), (1,) * 30_000, (1,) * 300_000):
+        with pytest.raises(GuardExceededError, match=refused):
+            build_crossing_pair(orders)
+    with pytest.raises(GuardExceededError, match=refused):
+        build_breakpoint_graph((3_000_001,))
+
+
 # -- breakpoint graphs ---------------------------------------------------------------------
 
 def test_breakpoint_graph_shapes(b0_graph):

@@ -99,6 +99,9 @@ def test_probability_range_check(b0_graph):
         EdgeProbabilityMap.with_overrides(b0_graph, {("s", "1"): Poly.constant(1)})
     # p^2 and 2p - p^2 both map (0,1) into (0,1)
     EdgeProbabilityMap.with_overrides(b0_graph, {("s", "1"): X * X, ("s", "2"): 2 * X - X * X})
+    # p^2000: its Bernstein bounds are one Taylor shift of the numerator,
+    # not O(n^2) binomials of some 600 digits each
+    EdgeProbabilityMap.with_overrides(b0_graph, {("3", "4"): X ** 2000})
 
 
 def test_probability_range_check_is_exact(b0_graph):

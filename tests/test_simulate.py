@@ -244,7 +244,7 @@ def record_draws(monkeypatch):
     each sweep."""
     module = importlib.import_module("relayopt.simulate")
     drawn, sweeps = Counter(), []
-    draw, delivered = module._survival_digits, module.StateSweep.delivered
+    draw, delivered = module._survival_digits, module.StateGraph.delivered
 
     def counted_draw(base, m, threshold, trials, blk):
         drawn[blk] += len(trials)
@@ -255,7 +255,7 @@ def record_draws(monkeypatch):
         return delivered(self, columns)
 
     monkeypatch.setattr(module, "_survival_digits", counted_draw)
-    monkeypatch.setattr(module.StateSweep, "delivered", counted_sweep)
+    monkeypatch.setattr(module.StateGraph, "delivered", counted_sweep)
     return drawn, sweeps
 
 

@@ -23,6 +23,7 @@ from relayopt import (
 )
 from relayopt import reliability
 from relayopt.asymptotics import robustness
+from relayopt.engine import StateGraph
 from relayopt.graphs import all_instructions, edge_key
 from relayopt.polys import Poly
 from relayopt.reliability import (
@@ -130,6 +131,26 @@ def test_tables_match_per_subset_oracles(m):
                 assert subset_counts(graph, probmap, walks) == counts_oracle(m, spos, walks)
             if is_finite(protocol):
                 assert robustness(protocol) == robustness_oracle(protocol)
+
+
+def test_state_graph_sweep_over_all_subsets_is_the_walk_table():
+    """The state graph's two kernels agree.  Its bit-sliced sweep over the
+    all-subset columns, its per-subset admission test run on every subset,
+    and ``admits_table`` give one table, on infinite protocols and the
+    empty one too."""
+    rng = random.Random(4242)
+    infinite = 0
+    for m in range(1, 11):
+        columns = [reliability._column(m, e) for e in range(m)]
+        for _ in range(4):
+            graph = random_graph(rng, m)
+            for protocol in random_protocols(rng, graph) + [Protocol(graph, [])]:
+                sg = StateGraph(protocol)
+                infinite += sg.order is None
+                table = admits_table(protocol)
+                assert sg.delivered(columns) == table
+                assert table_of(m, sg.admission_test()) == table
+    assert infinite >= 10
 
 
 def test_counts_of_arbitrary_tables_with_many_overrides():
