@@ -96,6 +96,7 @@ from .optimizer import (
 )
 from .polys import Poly, parse_rational
 from .reliability import (
+    connectivity_counts,
     path_spectrum,
     rho,
     rho_A,

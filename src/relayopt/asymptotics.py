@@ -2,12 +2,13 @@
 
 Near p = 0 the optimal reliability is governed by the counts of short
 s,r-paths; near p = 1 by the number of minimum s,r edge cuts.  The
-near-zero head is read off the path census.  The near-one head and
-robustness are questions about the fewest failures, so they search the
-failure levels (the worlds that fail exactly k edges) upward from k = 0
-and stop at the first level that answers, where the censuses scan every
-subset.  The piecewise optimizer's extreme pieces are checked against the
-heads in the test suite.
+near-zero head is read off the path census, which enumerates the paths,
+and the cut census is the complement of the connectivity counts.  The
+near-one head and robustness are questions about the fewest failures, so
+they search the failure levels (the worlds that fail exactly k edges)
+upward from k = 0 and stop at the first level that answers.  The
+piecewise optimizer's extreme pieces are checked against the heads in the
+test suite.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .graphs import Protocol, TwoTerminalGraph
 from .reliability import (
     check_scan_guard,
     connected_worlds,
-    connectivity_table,
+    connectivity_counts,
     failure_levels,
-    spectrum_from_table,
 )
 
 
@@ -63,11 +63,11 @@ def path_census(graph: TwoTerminalGraph) -> PathCensus:
 
 
 def cut_census(graph: TwoTerminalGraph) -> CutCensus:
-    """Exhaustive scan: a j-set disconnects iff its complement does not
-    connect s to r, so the counts are the complement of the connectivity
-    spectrum."""
+    """A j-set disconnects iff its complement does not connect s to r, so
+    the counts are the complement of the connectivity spectrum, which the
+    frontier DP counts."""
     m = graph.m
-    connected = spectrum_from_table(m, connectivity_table(graph))
+    connected = connectivity_counts(graph, None)[0]
     counts: dict[int, int] = {}
     for j in range(m + 1):
         c = comb(m, j) - connected[m - j]

@@ -239,10 +239,13 @@ def _run(args, stdin, stdout) -> None:
         emit(protocol_json(engine.spfp_reduce(protocol)))
     elif cmd == "reliability":
         reliability.check_scan_guard(graph.m)  # before the CFP's paths are enumerated
-        protocol = _load_protocol(args.protocol, graph)
-        fn = reliability.rho_prime_A if args.prime else reliability.rho_A
+        plain = args.protocol is None and not args.prime  # rho, from the graph alone
+        protocol = None if plain else _load_protocol(args.protocol, graph)
         at = None if args.at is None else require_open_unit(parse_rational(args.at))
-        poly = fn(protocol, probmap)
+        if plain:
+            poly = reliability.rho(graph, probmap)
+        else:
+            poly = (reliability.rho_prime_A if args.prime else reliability.rho_A)(protocol, probmap)
         if at is not None:
             emit({"value": format_rational(poly(at))})
         else:

@@ -48,7 +48,7 @@ from .reliability import (
     polynomial_from_table,
     rho,
     rho_A,
-    subset_counts,
+    walk_counts,
 )
 from .roots import AlgebraicNumber, rational_between, roots_with_multiplicity
 
@@ -299,7 +299,7 @@ def candidate_polynomials(
         if any(not essential & ~earlier for earlier in tabled):
             continue
         tabled.append(essential)
-        counts = subset_counts(graph, probmap, admits_table(astar.minus(removal)))
+        counts = walk_counts(astar.minus(removal), probmap)
         by_counts.setdefault(tuple(itertools.chain.from_iterable(counts)), (removal, counts))
     best: dict[Poly, RemovalSet] = {}
     for vector, (removal, counts) in by_counts.items():

@@ -1,15 +1,19 @@
-"""Exact reliability polynomials via tables over all 2^m edge subsets.
+"""Exact reliability polynomials: subset tables over all 2^m edge subsets,
+and s,r-connectivity counts by a frontier DP over the edges.
 
-Every exact answer is a sum over the 2^m edge subsets, refused past
-``MAX_SCAN_EDGES`` edges.  A table is an int with bit S set iff subset S
-is admitted, where bit e of S stands for the e-th edge in canonical order.
-Tables are built bit-sliced, from the edge columns: column e has bit S set
-iff edge e is in S, so one int operation decides all subsets at once.
+Every exact answer is refused past ``MAX_SCAN_EDGES`` edges.  Most are sums
+over the 2^m edge subsets, read off a table: an int with bit S set iff
+subset S is admitted, where bit e of S stands for the e-th edge in
+canonical order.  Tables are built bit-sliced, from the edge columns:
+column e has bit S set iff edge e is in S, so one int operation decides
+all subsets at once.
 
 - Connectivity: the sweep ``reach[j] |= reach[i] & col[j]`` (the one the
   Monte Carlo sampler runs on 512-trial columns) over the undirected
   graph's vertex-edge incidence graph, in which a vertex passes every
-  subset on and an edge only the subsets that contain it.
+  subset on and an edge only the subsets that contain it.  This table is
+  the oracle of ``connectivity_counts``, and its sweep, run over the
+  worlds of one failure level, serves the failure-level searches.
 - Paths: the OR, over the protocol's path edge sets, of the AND of each
   set's columns.
 - Walks: a protocol that contains the CFP admits a walk exactly where s
@@ -23,23 +27,30 @@ Counts come from popcounts: the table ANDed with weight-layer masks gives
 the admitted subsets of each size, and overridden edges are first moved
 to the top index bits so that each override pattern is one contiguous
 block of the table.  The polynomial is assembled from those counts.
+
+The connectivity counts (``rho``, the cut census, and the walk counts of
+a protocol that contains the CFP) come from ``connectivity_counts``
+instead, which keeps one packed count per partition of a narrow frontier
+of vertices and no 2^m table.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .engine import StateGraph, _bits, _cfp_instructions, _sweep, a_paths, cfp
+from .engine import StateGraph, _bits, _cfp_instructions, _sweep, a_paths
 from .errors import GuardExceededError
 from .graphs import Edge, EdgeProbabilityMap, Protocol, TwoTerminalGraph, edge_key
 from .polys import Poly, _canonical
 from .roots import _taylor_shift
 
-# The most edges an exhaustive subset scan takes.  A table or column over
-# 2^m subsets takes 2^m/8 bytes, and the connectivity sweep keeps about 3m
-# of them live (the edge columns, and a reach set per vertex and per
-# edge): on a tree with m + 1 vertices its peak RSS rose 168 MiB at m = 24
-# and 345 MiB at m = 25, past a 256 MiB budget.
+# The most edges an exact answer takes.  A table or column over 2^m
+# subsets takes 2^m/8 bytes, and the connectivity table's sweep keeps
+# about 3m of them live (the edge columns, and a reach set per vertex and
+# per edge): on a tree with m + 1 vertices its peak RSS rose 168 MiB at
+# m = 24 and 345 MiB at m = 25, past a 256 MiB budget.  That figure is the
+# table's: ``rho`` and the cut census count by the frontier DP, which
+# builds no table, and still keep to this guard.
 MAX_SCAN_EDGES = 24
 MAX_SPECIAL_EDGES = 16
 MAX_IE_PATHS = 20
@@ -280,7 +291,7 @@ def spectrum_from_table(m: int, table: int) -> tuple[int, ...]:
 
 def walk_spectrum(protocol: Protocol) -> tuple[int, ...]:
     """a_i = number of i-edge subsets admitting a protocol walk."""
-    return spectrum_from_table(protocol.graph.m, admits_table(protocol))
+    return tuple(walk_counts(protocol, None)[0])
 
 
 def path_spectrum(protocol: Protocol) -> tuple[int, ...]:
@@ -298,6 +309,15 @@ def _edge_polynomials(
         return [x] * graph.m, []
     wpolys = [probmap.poly_for_edge(e) for e in graph.edge_list()]
     return wpolys, [i for i, w in enumerate(wpolys) if w != x]
+
+
+def _overridden(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None) -> list[int]:
+    """Canonical positions of the overridden edges, refused past
+    ``MAX_SPECIAL_EDGES``."""
+    _, spos = _edge_polynomials(graph, probmap)
+    if len(spos) > MAX_SPECIAL_EDGES:
+        raise GuardExceededError(f"{len(spos)} overridden edges exceeds {MAX_SPECIAL_EDGES}")
+    return spos
 
 
 def _swap_index_bits(m: int, table: int, a: int, b: int) -> int:
@@ -321,9 +341,7 @@ def subset_counts(
     canonical order) and which hold i plain p-edges.  These are the
     coefficients of the admitted-subset sum in the basis
     prod_{k in pattern} w_k * prod_{k not in pattern} (1 - w_k) * p^i (1-p)^(n-i)."""
-    _, spos = _edge_polynomials(graph, probmap)
-    if len(spos) > MAX_SPECIAL_EDGES:
-        raise GuardExceededError(f"{len(spos)} overridden edges exceeds {MAX_SPECIAL_EDGES}")
+    spos = _overridden(graph, probmap)
     m = graph.m
     n_plain = m - len(spos)
     # Move the k-th overridden edge to index bit n_plain + k, so that each
@@ -334,6 +352,127 @@ def subset_counts(
         if spos[k] != n_plain + k:
             table = _swap_index_bits(m, table, spos[k], n_plain + k)
     return _block_counts(table, n_plain, len(spos))
+
+
+def _relabel(labels: Iterable[int]) -> tuple[int, ...]:
+    """Component labels renumbered by first occurrence, keeping 0 (the
+    component of s) and 1 (that of r)."""
+    seen = {0: 0, 1: 1}
+    return tuple([seen.setdefault(label, len(seen)) for label in labels])
+
+
+def connectivity_counts(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None) -> list[list[int]]:
+    """``subset_counts(graph, probmap, connectivity_table(graph))``: the
+    subsets keeping s and r in one component, counted by a frontier DP over
+    the edges (Carlier & Lucet 1996; Hardy, Lucet & Limnios 2007) instead
+    of a 2^m-bit table.
+
+    Edges are decided in BFS order from s, keyed by their later endpoint.
+    The frontier is the vertices with both decided and undecided edges, and
+    a configuration is their partition into components of the surviving
+    decided edges: a tuple of labels, 0 for the component of s and 1 for
+    that of r.  Each carries one packed int, a field of ``width`` > m bits
+    per (override pattern, plain-edge count); no count exceeds 2^m, so no
+    field carries into the next, and a surviving edge shifts the int by its
+    field offset.  Override patterns take their bits in decision order, so
+    a configuration's int holds only the patterns of the decided edges;
+    they are put back in canonical order at the end.
+
+    A configuration that joins s and r finishes at once into one joined
+    int, which every later edge, surviving or not, multiplies by (1 + x_e).
+    One whose component of s, or of r once r is reached, leaves the
+    frontier can no longer join them and is dropped.  Edges that s cannot
+    reach only multiply the joined int."""
+    m = graph.m
+    check_scan_guard(m)
+    spos = _overridden(graph, probmap)
+    edges = graph.edge_list()
+    s, r = graph.s, graph.r
+    queue = [s]
+    rank = {s: 0}
+    for v in queue:
+        for w in graph.neighbors(v):
+            if w not in rank:
+                rank[w] = len(queue)
+                queue.append(w)
+    reached = sorted(
+        (max(rank[u], rank[v]), min(rank[u], rank[v]), e) for e, (u, v) in enumerate(edges) if u in rank
+    )
+    sequence = [e for _, _, e in reached] + [e for e, (u, _) in enumerate(edges) if u not in rank]
+    n = m - len(spos)
+    width = 8 * (m // 8 + 1)
+    special = set(spos)
+    bit: dict[int, int] = {}  # decision-order pattern bit of each overridden edge
+    offset = []
+    for e in sequence:
+        if e in special:
+            bit[e] = len(bit)
+            offset.append(width * (n + 1) << bit[e])
+        else:
+            offset.append(width)
+    last = {}
+    for j, (_, _, e) in enumerate(reached):
+        for v in edges[e]:
+            last[v] = j
+
+    frontier = [s]
+    states = {(0,): 1}
+    canonical: dict[tuple[int, ...], tuple[int, ...]] = {}  # _relabel, memoised: steps repeat their tuples
+    joined = 0
+    r_seen = False
+    for j, (_, _, e) in enumerate(reached):
+        shift = offset[j]
+        joined += joined << shift
+        u, v = sorted(edges[e], key=rank.__getitem__)
+        entering = v not in frontier  # v enters with its first edge, to an earlier vertex
+        if entering:
+            frontier.append(v)
+            r_seen = r_seen or v == r
+        a, b = frontier.index(u), frontier.index(v)
+        keep = [i for i, x in enumerate(frontier) if last[x] != j]
+        stay = len(keep) == len(frontier)  # then a canonical tuple stays canonical
+        frontier = [frontier[i] for i in keep]
+        following: dict[tuple[int, ...], int] = {}
+
+        def settle(labels: tuple[int, ...], count: int) -> None:
+            raw = tuple([labels[i] for i in keep])
+            key = canonical.get(raw)
+            if key is None:
+                key = canonical[raw] = _relabel(raw)
+            if 0 in key and (1 in key or not r_seen):
+                following[key] = following.get(key, 0) + count
+
+        for labels, count in states.items():
+            if entering:  # in its own component, labelled canonically
+                labels += (1 if v == r else max(max(labels), 1) + 1,)
+            la, lb = labels[a], labels[b]
+            if la == lb:  # surviving or not, e joins nothing
+                count += count << shift
+            elif la + lb == 1:
+                joined += count << shift
+            else:
+                low, high = min(la, lb), max(la, lb)
+                settle(tuple([low if x == high else x for x in labels]), count << shift)
+            if stay:  # e fails, or lies within one component
+                following[labels] = following.get(labels, 0) + count
+            else:
+                settle(labels, count)
+        states = following
+    for shift in offset[len(reached):]:
+        joined += joined << shift
+
+    step = width // 8
+    fields = n + 1
+    data = joined.to_bytes(step * fields << len(spos), "little")
+    order = [0]  # decision-order pattern of each canonical pattern
+    counts = []
+    for q in range(1 << len(spos)):
+        if q:
+            least = q & -q
+            order.append(order[q ^ least] | 1 << bit[spos[least.bit_length() - 1]])
+        at = order[q] * fields * step
+        counts.append([int.from_bytes(data[at + i * step:at + (i + 1) * step], "little") for i in range(fields)])
+    return counts
 
 
 def polynomial_from_counts(
@@ -370,10 +509,20 @@ def polynomial_from_table(
     return polynomial_from_counts(graph, probmap, subset_counts(graph, probmap, table))
 
 
+def walk_counts(protocol: Protocol, probmap: EdgeProbabilityMap | None) -> list[list[int]]:
+    """The subset counts of the protocol's walk table.  A protocol that
+    contains the CFP admits a walk exactly where s and r are connected, so
+    its counts are the connectivity counts, and no table is built."""
+    graph = protocol.graph
+    check_scan_guard(graph.m)
+    if protocol.instructions >= _cfp_instructions(graph):
+        return connectivity_counts(graph, probmap)
+    return subset_counts(graph, probmap, admits_table(protocol))
+
+
 def rho_A(protocol: Protocol, probmap: EdgeProbabilityMap | None = None) -> Poly:
     """Probability that the edges of some protocol walk all survive."""
-    table = admits_table(protocol)
-    return polynomial_from_table(protocol.graph, probmap, table)
+    return polynomial_from_counts(protocol.graph, probmap, walk_counts(protocol, probmap))
 
 
 def rho_prime_A(protocol: Protocol, probmap: EdgeProbabilityMap | None = None) -> Poly:
@@ -383,16 +532,16 @@ def rho_prime_A(protocol: Protocol, probmap: EdgeProbabilityMap | None = None) -
 
 
 def rho(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None = None) -> Poly:
-    """Two-terminal reliability: walk survival under the CFP."""
-    check_scan_guard(graph.m)
-    return rho_A(cfp(graph), probmap)
+    """Two-terminal reliability: walk survival under the CFP, which is the
+    probability that s and r stay connected.  Read off the connectivity
+    counts; no CFP is built and no path enumerated."""
+    return polynomial_from_counts(graph, probmap, connectivity_counts(graph, probmap))
 
 
 def rho_by_connectivity(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None = None) -> Poly:
-    """Two-terminal reliability from the s,r-connectivity of each subset,
-    from the graph alone.  ``rho`` reads the same connectivity table (the
-    CFP contains the CFP), so this is no independent check of it; the path
-    table of the CFP (``rho_prime_A``) and ``subset_admits_walk`` are."""
+    """Two-terminal reliability from the bit-sliced connectivity table: the
+    table oracle of the frontier DP behind ``rho``.  The two share only the
+    polynomial assembly, so each checks the other's counts."""
     table = connectivity_table(graph)
     return polynomial_from_table(graph, probmap, table)
 

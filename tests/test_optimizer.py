@@ -25,7 +25,7 @@ from relayopt import (
     rho_hat_piecewise,
     strongly_essential_instructions,
 )
-from relayopt import optimizer
+from relayopt import optimizer, reliability
 from relayopt.cli import _piecewise_json
 from relayopt.constructions import build_breakpoint_graph, parallel, path_graph, realize
 from relayopt.engine import StateGraph, _bits, essential_instructions
@@ -369,7 +369,7 @@ def test_pruning_differential_relabeled_inputs(b0_graph, monkeypatch):
         built.append(protocol)
         return admits_table(protocol)
 
-    monkeypatch.setattr(optimizer, "admits_table", counted)
+    monkeypatch.setattr(reliability, "admits_table", counted)  # called by ``walk_counts``
     rng = random.Random(1997)
     # one renaming of b0: the oracle's removal family is cached per CFP
     graph = relabeled(b0_graph, rng)
