@@ -105,10 +105,9 @@ def discrepancy(
         raise InstructionError(f"{worst} is not a CFP instruction", code="not-in-cfp")
     base = rho_A(astar, probmap)
     reduced = astar.minus(removal)
-    reduced_table = admits_table(reduced)
-    d = base - polynomial_from_table(graph, probmap, reduced_table)
+    d = base - rho_A(reduced, probmap)
     if check_event:
-        event = _removal_event_polynomial(graph, removal, reduced_table, probmap)
+        event = _removal_event_polynomial(graph, removal, admits_table(reduced), probmap)
         if event != d:
             raise AssertionError(
                 f"event probability {event!r} differs from discrepancy {d!r}"

@@ -31,7 +31,7 @@ block of the table.  The polynomial is assembled from those counts.
 The connectivity counts (``rho``, the cut census, and the walk counts of
 a protocol that contains the CFP) come from ``connectivity_counts``
 instead, which keeps one packed count per partition of a narrow frontier
-of vertices and no 2^m table.
+of vertices and override pattern, and no 2^m table.
 """
 
 from __future__ import annotations
@@ -124,7 +124,10 @@ def admits_table(protocol: Protocol) -> int:
     A protocol containing the CFP's instructions admits a walk in exactly
     the subsets that connect s and r: every s,r-path is a CFP walk, and
     every walk contains an s,r-path.  Its table is the connectivity table;
-    every other protocol's comes from the per-subset walk search."""
+    every other protocol's comes from the per-subset walk search.  The
+    library counts such a protocol's walks by ``walk_counts``, which builds
+    no table, so this branch serves the tests and the event check of
+    ``discrepancy``."""
     graph = protocol.graph
     check_scan_guard(graph.m)
     if protocol.instructions >= _cfp_instructions(graph):
@@ -354,13 +357,6 @@ def subset_counts(
     return _block_counts(table, n_plain, len(spos))
 
 
-def _relabel(labels: Iterable[int]) -> tuple[int, ...]:
-    """Component labels renumbered by first occurrence, keeping 0 (the
-    component of s) and 1 (that of r)."""
-    seen = {0: 0, 1: 1}
-    return tuple([seen.setdefault(label, len(seen)) for label in labels])
-
-
 def connectivity_counts(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None) -> list[list[int]]:
     """``subset_counts(graph, probmap, connectivity_table(graph))``: the
     subsets keeping s and r in one component, counted by a frontier DP over
@@ -371,18 +367,19 @@ def connectivity_counts(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | N
     The frontier is the vertices with both decided and undecided edges, and
     a configuration is their partition into components of the surviving
     decided edges: a tuple of labels, 0 for the component of s and 1 for
-    that of r.  Each carries one packed int, a field of ``width`` > m bits
-    per (override pattern, plain-edge count); no count exceeds 2^m, so no
-    field carries into the next, and a surviving edge shifts the int by its
-    field offset.  Override patterns take their bits in decision order, so
-    a configuration's int holds only the patterns of the decided edges;
-    they are put back in canonical order at the end.
+    that of r.  Configurations are grouped by the override pattern of the
+    decided edges (bit k for the k-th overridden edge in canonical order),
+    and each carries one packed int, a field of ``width`` > m bits per
+    plain-edge count; no count exceeds 2^m, so no field carries into the
+    next, and a surviving plain edge shifts the int by one field.  A group
+    holds only the patterns that occur, so heavy overrides cost entries,
+    not a dense block of 2^k patterns per configuration.
 
-    A configuration that joins s and r finishes at once into one joined
-    int, which every later edge, surviving or not, multiplies by (1 + x_e).
-    One whose component of s, or of r once r is reached, leaves the
-    frontier can no longer join them and is dropped.  Edges that s cannot
-    reach only multiply the joined int."""
+    A configuration that joins s and r finishes at once into the joined
+    int of its pattern, which every later edge, surviving or not,
+    multiplies by (1 + x_e).  One whose component of s, or of r once r is
+    reached, leaves the frontier can no longer join them and is dropped.
+    Edges that s cannot reach only multiply the joined ints."""
     m = graph.m
     check_scan_guard(m)
     spos = _overridden(graph, probmap)
@@ -398,31 +395,30 @@ def connectivity_counts(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | N
     reached = sorted(
         (max(rank[u], rank[v]), min(rank[u], rank[v]), e) for e, (u, v) in enumerate(edges) if u in rank
     )
-    sequence = [e for _, _, e in reached] + [e for e, (u, _) in enumerate(edges) if u not in rank]
-    n = m - len(spos)
+    flag = [0] * m  # pattern bit of each overridden edge
+    for k, e in enumerate(spos):
+        flag[e] = 1 << k
     width = 8 * (m // 8 + 1)
-    special = set(spos)
-    bit: dict[int, int] = {}  # decision-order pattern bit of each overridden edge
-    offset = []
-    for e in sequence:
-        if e in special:
-            bit[e] = len(bit)
-            offset.append(width * (n + 1) << bit[e])
-        else:
-            offset.append(width)
     last = {}
     for j, (_, _, e) in enumerate(reached):
         for v in edges[e]:
             last[v] = j
 
     frontier = [s]
-    states = {(0,): 1}
-    canonical: dict[tuple[int, ...], tuple[int, ...]] = {}  # _relabel, memoised: steps repeat their tuples
-    joined = 0
+    states: dict[int, dict[tuple[int, ...], int]] = {0: {(0,): 1}}
+    joined: dict[int, int] = {}
+
+    def multiply(e: int) -> None:
+        """Multiply every joined int by (1 + x_e)."""
+        if flag[e]:
+            joined.update([(pattern | flag[e], count) for pattern, count in joined.items()])
+        else:
+            for pattern, count in joined.items():
+                joined[pattern] = count + (count << width)
+
     r_seen = False
     for j, (_, _, e) in enumerate(reached):
-        shift = offset[j]
-        joined += joined << shift
+        multiply(e)
         u, v = sorted(edges[e], key=rank.__getitem__)
         entering = v not in frontier  # v enters with its first edge, to an earlier vertex
         if entering:
@@ -430,48 +426,58 @@ def connectivity_counts(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | N
             r_seen = r_seen or v == r
         a, b = frontier.index(u), frontier.index(v)
         keep = [i for i, x in enumerate(frontier) if last[x] != j]
-        stay = len(keep) == len(frontier)  # then a canonical tuple stays canonical
         frontier = [frontier[i] for i in keep]
-        following: dict[tuple[int, ...], int] = {}
 
-        def settle(labels: tuple[int, ...], count: int) -> None:
-            raw = tuple([labels[i] for i in keep])
-            key = canonical.get(raw)
-            if key is None:
-                key = canonical[raw] = _relabel(raw)
-            if 0 in key and (1 in key or not r_seen):
-                following[key] = following.get(key, 0) + count
+        def settle(labels: Sequence[int]) -> tuple[int, ...] | None:
+            """The configuration on the new frontier, its labels renumbered
+            by first occurrence keeping 0 and 1, or None if it is dropped."""
+            seen = {0: 0, 1: 1}
+            key = tuple([seen.setdefault(labels[i], len(seen)) for i in keep])
+            return key if 0 in key and (1 in key or not r_seen) else None
 
-        for labels, count in states.items():
-            if entering:  # in its own component, labelled canonically
-                labels += (1 if v == r else max(max(labels), 1) + 1,)
-            la, lb = labels[a], labels[b]
-            if la == lb:  # surviving or not, e joins nothing
-                count += count << shift
-            elif la + lb == 1:
-                joined += count << shift
-            else:
-                low, high = min(la, lb), max(la, lb)
-                settle(tuple([low if x == high else x for x in labels]), count << shift)
-            if stay:  # e fails, or lies within one component
-                following[labels] = following.get(labels, 0) + count
-            else:
-                settle(labels, count)
-        states = following
-    for shift in offset[len(reached):]:
-        joined += joined << shift
+        # Where each configuration goes, the same in every pattern: the
+        # configuration if e fails, and if it survives, the joined ints or
+        # a configuration (None where it is dropped).
+        moves: dict[tuple[int, ...], tuple] = {}
+        for group in states.values():
+            for labels in group:
+                if labels in moves:
+                    continue
+                grown = labels + (1 if v == r else max(max(labels), 1) + 1,) if entering else labels
+                la, lb = grown[a], grown[b]
+                failed = settle(grown)
+                if la == lb:  # surviving or not, e joins nothing
+                    moves[labels] = (failed, failed)
+                elif la + lb == 1:
+                    moves[labels] = (failed, joined)
+                else:
+                    low, high = min(la, lb), max(la, lb)
+                    moves[labels] = (failed, settle([low if x == high else x for x in grown]))
+
+        shift = 0 if flag[e] else width
+        following: dict[int, dict[tuple[int, ...], int]] = {}
+        for pattern, group in states.items():
+            fail = following.setdefault(pattern, {})
+            live = following.setdefault(pattern | flag[e], {})
+            for labels, count in group.items():
+                failed, survived = moves[labels]
+                if failed is not None:
+                    fail[failed] = fail.get(failed, 0) + count
+                if survived is joined:
+                    joined[pattern | flag[e]] = joined.get(pattern | flag[e], 0) + (count << shift)
+                elif survived is not None:
+                    live[survived] = live.get(survived, 0) + (count << shift)
+        states = {pattern: group for pattern, group in following.items() if group}
+    for e in range(m):
+        if edges[e][0] not in rank:
+            multiply(e)
 
     step = width // 8
-    fields = n + 1
-    data = joined.to_bytes(step * fields << len(spos), "little")
-    order = [0]  # decision-order pattern of each canonical pattern
+    fields = m - len(spos) + 1
     counts = []
-    for q in range(1 << len(spos)):
-        if q:
-            least = q & -q
-            order.append(order[q ^ least] | 1 << bit[spos[least.bit_length() - 1]])
-        at = order[q] * fields * step
-        counts.append([int.from_bytes(data[at + i * step:at + (i + 1) * step], "little") for i in range(fields)])
+    for pattern in range(1 << len(spos)):
+        data = joined.get(pattern, 0).to_bytes(step * fields, "little")
+        counts.append([int.from_bytes(data[at:at + step], "little") for at in range(0, step * fields, step)])
     return counts
 
 

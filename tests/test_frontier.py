@@ -2,20 +2,27 @@
 connectivity table it replaced, and the paths that now build neither a
 table nor a CFP."""
 
+import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import relayopt
 from relayopt import (
     EdgeProbabilityMap,
     TwoTerminalGraph,
     candidate_polynomials,
     cfp,
     connectivity_counts,
+    discrepancy,
     engine,
     reliability,
     rho,
@@ -128,6 +135,39 @@ def test_connectivity_counts_at_the_guard(graph):
     assert connectivity_counts(graph, None) == subset_counts(graph, None, connectivity_table(graph))
 
 
+# Counts the graph JSON on stdin in a child process whose address space is
+# capped at 128 MiB, half the budget behind the scan guard, and prints a
+# digest of the counts.
+COUNT_UNDER_A_CAP = """
+import hashlib, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+from relayopt import connectivity_counts
+from relayopt.graphs import parse_graph
+counts = connectivity_counts(*parse_graph(json.load(sys.stdin)))
+print(hashlib.sha256(repr(counts).encode()).hexdigest())
+"""
+
+
+def test_heavy_overrides_stay_sparse():
+    """K3,8 with its 16 a0 and a1 edges overridden: those edges are decided
+    first, so the partitions of b0..b7 meet patterns of all 16 bits.  A
+    dense block of 2^16 patterns per configuration took gigabytes, and the
+    table peaks at 161 MiB of RSS; the counts must come within the cap and
+    equal the table's."""
+    g = complete_bipartite(3, 8, "a0", "a2")
+    rng = random.Random(16)
+    heavy = [e for e in g.edge_list() if "a0" in e or "a1" in e]
+    probmap = EdgeProbabilityMap.with_overrides(g, {e: rng.choice(VALUES) for e in heavy})
+    assert g.m == MAX_SCAN_EDGES and len(heavy) == MAX_SPECIAL_EDGES
+    src = str(Path(relayopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = subprocess.run([sys.executable, "-c", COUNT_UNDER_A_CAP], input=json.dumps(graph_json(g, probmap)),
+                           capture_output=True, text=True, env=env, timeout=300)
+    assert child.returncode == 0, child.stderr[-2000:]
+    expected = subset_counts(g, probmap, connectivity_table(g))
+    assert child.stdout.strip() == hashlib.sha256(repr(expected).encode()).hexdigest()
+
+
 def boom(*args, **kwargs):
     raise AssertionError("not expected to run")
 
@@ -165,6 +205,7 @@ def test_protocols_containing_the_cfp_build_no_table(monkeypatch):
     monkeypatch.setattr(reliability, "admits_table", boom)
     assert rho_A(protocol) == expected
     assert walk_spectrum(protocol) == spectrum
+    assert discrepancy(g, []).polynomial == Poly.zero()
     # a finite CFP is the one candidate, its removal set empty
     assert candidate_polynomials(routes) == [(frozenset(), 2 * X ** 2 - X ** 4)]
 
