@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .engine import StateGraph, _cfp_instructions, bounded_protocol, enumerate_sr_paths, is_finite
+from .engine import StateGraph, bounded_protocol, contains_cfp, enumerate_sr_paths, is_finite
 from .errors import DomainError, InfiniteProtocolError
 from .graphs import Protocol, TwoTerminalGraph
 from .reliability import (
@@ -125,7 +125,7 @@ def robustness(protocol: Protocol) -> int:
     sg = StateGraph(protocol)
     if sg.order is None:
         raise InfiniteProtocolError("infinite protocol")
-    if protocol.instructions >= _cfp_instructions(graph):
+    if contains_cfp(protocol):
         return m
     for k, columns in enumerate(failure_levels(m)):
         connected = connected_worlds(graph, columns, (1 << comb(m, k)) - 1)

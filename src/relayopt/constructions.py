@@ -316,7 +316,6 @@ def expand(
     base: TwoTerminalGraph,
     at: tuple[str, str],
     inserted,
-    prefix: str | None = None,
 ) -> Expansion:
     """Expansion of ``base`` at the edge ``at`` = (x, y): the edge is
     removed and a copy of ``inserted`` (a series-parallel tree or its
@@ -326,9 +325,8 @@ def expand(
     if edge_key(x, y) not in base.edges:
         raise GraphError(f"edge {x}-{y} not in the base graph", code="missing-edge")
     h = as_graph(inserted)
-    if prefix is None:
-        used = [int(m.group(1)) for v in base.vertices if (m := _PREFIX_RE.match(v))]
-        prefix = f"h{max(used, default=0) + 1}."
+    used = [int(m.group(1)) for v in base.vertices if (m := _PREFIX_RE.match(v))]
+    prefix = f"h{max(used, default=0) + 1}."
     vmap = {}
     for v in h.vertices:
         if v == h.s:
@@ -424,14 +422,15 @@ def delta_rho(a, b) -> Poly:
 Profile = list[tuple[AlgebraicNumber, int]]
 
 
-def profile(poly: Poly, max_width: Fraction = PROFILE_INTERVAL_WIDTH) -> Profile:
+def profile(poly: Poly) -> Profile:
     """Roots of the polynomial in open (0,1) with multiplicities, in
-    increasing order, isolated exactly."""
+    increasing order, isolated exactly and refined below
+    ``PROFILE_INTERVAL_WIDTH``."""
     if poly.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no profile")
     found = roots_with_multiplicity(poly)
     for root, _ in found:
-        root.refine_below(max_width)
+        root.refine_below(PROFILE_INTERVAL_WIDTH)
     return found
 
 

@@ -85,6 +85,13 @@ def _cfp_instructions(graph: TwoTerminalGraph) -> frozenset[Instruction]:
     return found
 
 
+def contains_cfp(protocol: Protocol) -> bool:
+    """Whether the protocol holds every CFP instruction.  Such a protocol
+    admits a walk in exactly the subsets that connect s and r: every
+    s,r-path is a CFP walk, and every walk contains an s,r-path."""
+    return protocol.instructions >= _cfp_instructions(protocol.graph)
+
+
 def a_paths(protocol: Protocol) -> list[Walk]:
     """The s,r-paths whose every contained instruction is in the protocol.
     A path of length 1 contains no instruction, so it always qualifies."""

@@ -76,17 +76,20 @@ class DiscrepancyReport:
 def _removal_event_polynomial(
     graph: TwoTerminalGraph,
     removed: RemovalSet,
-    reduced_table: int,
+    reduced: Protocol,
     probmap: EdgeProbabilityMap | None,
 ) -> Poly:
     """Probability that some s,r-path using a removed instruction survives
-    while the reduced protocol admits no surviving walk (``reduced_table``
-    is its admission table).  Every other surviving path is a walk of the
-    reduced protocol, so this is exactly the reliability the removal loses."""
+    while the reduced protocol admits no surviving walk.  Every other
+    surviving path is a walk of the reduced protocol, so this is exactly
+    the reliability the removal loses.  Every CFP instruction lies on an
+    s,r-path, so only the empty removal has none, and builds no table."""
     used = edge_masks(graph, (p for p in enumerate_sr_paths(graph)
                               if any(i in removed for i in instructions_in(p))))
+    if not used:
+        return Poly.zero()
     used_table = _superset_table(graph.m, used)
-    return polynomial_from_table(graph, probmap, used_table & ~reduced_table)
+    return polynomial_from_table(graph, probmap, used_table & ~admits_table(reduced))
 
 
 def discrepancy(
@@ -107,7 +110,7 @@ def discrepancy(
     reduced = astar.minus(removal)
     d = base - rho_A(reduced, probmap)
     if check_event:
-        event = _removal_event_polynomial(graph, removal, admits_table(reduced), probmap)
+        event = _removal_event_polynomial(graph, removal, reduced, probmap)
         if event != d:
             raise AssertionError(
                 f"event probability {event!r} differs from discrepancy {d!r}"

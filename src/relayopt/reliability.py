@@ -16,17 +16,17 @@ all subsets at once.
   worlds of one failure level, serves the failure-level searches.
 - Paths: the OR, over the protocol's path edge sets, of the AND of each
   set's columns.
-- Walks: a protocol that contains the CFP admits a walk exactly where s
-  and r are connected, so its table is the connectivity table.  For any
-  other protocol admission is monotone in the subset, so ``monotone_table``
-  runs a state-graph search only on lattice-minimal candidates and on
+- Walks: admission is monotone in the subset, so ``monotone_table`` runs
+  a state-graph search only on lattice-minimal candidates and on
   non-admitting sets, one subset at a time; its byte per subset is packed
   into the int table once.
 
 Counts come from popcounts: the table ANDed with weight-layer masks gives
 the admitted subsets of each size, and overridden edges are first moved
 to the top index bits so that each override pattern is one contiguous
-block of the table.  The polynomial is assembled from those counts.
+block of the table.  The polynomial is assembled from those counts: each
+pattern's row becomes its plain-edge polynomial, and the rows are folded
+in pairs, one overridden edge at a time, by that edge's w and 1 - w.
 
 The connectivity counts (``rho``, the cut census, and the walk counts of
 a protocol that contains the CFP) come from ``connectivity_counts``
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .engine import StateGraph, _bits, _cfp_instructions, _sweep, a_paths
+from .engine import StateGraph, _bits, _sweep, a_paths, contains_cfp
 from .errors import GuardExceededError
 from .graphs import Edge, EdgeProbabilityMap, Protocol, TwoTerminalGraph, edge_key
 from .polys import Poly, _canonical
@@ -119,20 +119,11 @@ def _packed(flags: bytearray) -> int:
 
 
 def admits_table(protocol: Protocol) -> int:
-    """Indicator of subsets admitting a protocol walk.
-
-    A protocol containing the CFP's instructions admits a walk in exactly
-    the subsets that connect s and r: every s,r-path is a CFP walk, and
-    every walk contains an s,r-path.  Its table is the connectivity table;
-    every other protocol's comes from the per-subset walk search.  The
-    library counts such a protocol's walks by ``walk_counts``, which builds
-    no table, so this branch serves the tests and the event check of
-    ``discrepancy``."""
-    graph = protocol.graph
-    check_scan_guard(graph.m)
-    if protocol.instructions >= _cfp_instructions(graph):
-        return connectivity_table(graph)
-    return _packed(monotone_table(graph.m, StateGraph(protocol).admission_test()))
+    """Indicator of subsets admitting a protocol walk, by the per-subset
+    walk search.  The library asks for no protocol that contains the CFP:
+    ``walk_counts`` counts its walks as connectivity."""
+    check_scan_guard(protocol.graph.m)
+    return _packed(monotone_table(protocol.graph.m, StateGraph(protocol).admission_test()))
 
 
 def subset_admits_walk(protocol: Protocol, subset: Iterable[tuple[str, str]]) -> bool:
@@ -491,18 +482,16 @@ def polynomial_from_counts(
     part sum_i c_i p^i (1-p)^(n-i) has integer coefficients: that of p^k is
     sum_{i<=k} c_i C(n-i, k-i) (-1)^(k-i), the coefficient of x^(n-k) in
     sum_i c_i (x - 1)^(n-i): the reversed counts, Taylor shifted by -1.
-    Its override factor is the factor of the pattern on the overridden
-    edges before the last one, times w or 1 - w of that edge."""
+    The override factors are folded in one edge at a time, from the last
+    overridden edge (the top pattern bit) to the first: rows q and q | bit,
+    one in each half, become row_q + (row_{q|bit} - row_q) * w."""
     wpolys, spos = _edge_polynomials(graph, probmap)
-    factors = [Poly.one()]
-    for pos in spos:
+    rows = [_canonical(_taylor_shift(row[::-1], -1)[::-1], 1) for row in counts]
+    for pos in reversed(spos):
         w = wpolys[pos]
-        rest = 1 - w
-        factors = [f * rest for f in factors] + [f * w for f in factors]
-    total = Poly.zero()
-    for factor, row in zip(factors, counts):
-        total = total + factor * _canonical(_taylor_shift(row[::-1], -1)[::-1], 1)
-    return total
+        half = len(rows) // 2
+        rows = [a + (b - a) * w for a, b in zip(rows[:half], rows[half:])]
+    return rows[0]
 
 
 def polynomial_from_table(
@@ -516,12 +505,11 @@ def polynomial_from_table(
 
 
 def walk_counts(protocol: Protocol, probmap: EdgeProbabilityMap | None) -> list[list[int]]:
-    """The subset counts of the protocol's walk table.  A protocol that
-    contains the CFP admits a walk exactly where s and r are connected, so
-    its counts are the connectivity counts, and no table is built."""
+    """The subset counts of the protocol's walk table: the connectivity
+    counts, with no table built, for a protocol that contains the CFP."""
     graph = protocol.graph
     check_scan_guard(graph.m)
-    if protocol.instructions >= _cfp_instructions(graph):
+    if contains_cfp(protocol):
         return connectivity_counts(graph, probmap)
     return subset_counts(graph, probmap, admits_table(protocol))
 

@@ -168,6 +168,18 @@ def test_heavy_overrides_stay_sparse():
     assert child.stdout.strip() == hashlib.sha256(repr(expected).encode()).hexdigest()
 
 
+def test_rho_with_sixteen_overrides_is_unchanged():
+    """``rho`` of K3,8 (s = a0, r = a2) with its 16 a0 and a1 edges at p^2,
+    the most overrides the guard allows: its polynomial, pinned by the
+    sha256 recorded when each of the 2^16 pattern factors was multiplied
+    out in full, before the patterns were folded one edge at a time."""
+    g = complete_bipartite(3, 8, "a0", "a2")
+    heavy = [e for e in g.edge_list() if "a0" in e or "a1" in e]
+    poly = rho(g, EdgeProbabilityMap.with_overrides(g, {e: X ** 2 for e in heavy}))
+    digest = hashlib.sha256(json.dumps(poly.to_strings()).encode()).hexdigest()
+    assert digest == "7b84c76b4115577f5e5889eed57462212467c95f31eeeba4de4fbdf70b90e0fc"
+
+
 def boom(*args, **kwargs):
     raise AssertionError("not expected to run")
 
@@ -206,6 +218,7 @@ def test_protocols_containing_the_cfp_build_no_table(monkeypatch):
     assert rho_A(protocol) == expected
     assert walk_spectrum(protocol) == spectrum
     assert discrepancy(g, []).polynomial == Poly.zero()
+    assert discrepancy(g, [], check_event=True).polynomial == Poly.zero()
     # a finite CFP is the one candidate, its removal set empty
     assert candidate_polynomials(routes) == [(frozenset(), 2 * X ** 2 - X ** 4)]
 

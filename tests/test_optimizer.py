@@ -28,7 +28,7 @@ from relayopt import (
 from relayopt import optimizer, reliability
 from relayopt.cli import _piecewise_json
 from relayopt.constructions import build_breakpoint_graph, parallel, path_graph, realize
-from relayopt.engine import StateGraph, _bits, essential_instructions
+from relayopt.engine import StateGraph, _bits, contains_cfp, essential_instructions
 from relayopt.optimizer import _minimal_removal_family, _upper_envelope
 from relayopt.polys import Poly
 from relayopt.reliability import admits_table
@@ -81,9 +81,16 @@ def test_discrepancy_event_identity_more_sets(b0_graph):
         discrepancy(b0_graph, removal, check_event=True)
 
 
-def test_discrepancy_event_identity_random_graphs():
+def test_discrepancy_event_identity_random_graphs(monkeypatch):
     """The removal event equals the discrepancy for random removal sets,
-    whether or not the reduced protocol is finite."""
+    whether or not the reduced protocol is finite, and for the empty one.
+    No walk table is built for a protocol that contains the CFP."""
+    def walk_table(protocol):
+        assert not contains_cfp(protocol)
+        return admits_table(protocol)
+
+    monkeypatch.setattr(optimizer, "admits_table", walk_table)
+    monkeypatch.setattr(reliability, "admits_table", walk_table)
     rng = random.Random(2024)
     checked = 0
     while checked < 40:
@@ -93,6 +100,7 @@ def test_discrepancy_event_identity_random_graphs():
             continue
         removal = rng.sample(instructions, min(rng.randint(1, 3), len(instructions)))
         discrepancy(graph, removal, check_event=True)
+        assert discrepancy(graph, [], check_event=True).polynomial == Poly.zero()
         checked += 1
 
 

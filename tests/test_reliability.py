@@ -28,7 +28,7 @@ from relayopt.optimizer import candidate_polynomials
 from relayopt.polys import Poly
 from relayopt.reliability import admits_table, connectivity_table
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_graph
 
 X = Poly.x()
 HALF = Fraction(1, 2)
@@ -151,6 +151,47 @@ def test_basis_consistency(b0_cfp):
         if a:
             assembled = assembled + Poly.constant(a) * X ** i * onemx ** (m - i)
     assert assembled == rho_A(b0_cfp)
+
+
+def assembled_by_pattern(weights: list[Poly], spos: list[int], counts: list[list[int]]) -> Poly:
+    """The subset-count basis summed directly: each pattern's factor is the
+    product over the overridden edges of w or 1 - w, times the plain part
+    sum_i c_i p^i (1-p)^(n-i)."""
+    onemx = Poly((1, -1))
+    total = Poly.zero()
+    for pattern, row in enumerate(counts):
+        factor = Poly.one()
+        for k, pos in enumerate(spos):
+            factor = factor * (weights[pos] if pattern >> k & 1 else 1 - weights[pos])
+        n = len(row) - 1
+        for i, c in enumerate(row):
+            total = total + factor * Poly.constant(c) * X ** i * onemx ** (n - i)
+    return total
+
+
+def test_polynomial_from_counts_folds_every_pattern():
+    """Random count arrays with 0..8 overridden edges, assembled by the fold
+    and by the direct product per pattern, over rational constants and
+    polynomials, two overridden edges often sharing one."""
+    rng = random.Random(1985)
+    constants = [Poly.constant(Fraction(2, 7)), Poly.constant(Fraction(2, 3))]
+    values = constants + [X ** 2, 2 * X - X ** 2, Poly((Fraction(1, 3), Fraction(1, 3))), X ** 3]
+    shared = with_constant = 0
+    for k in range(9):
+        for _ in range(6):
+            m = rng.randint(k, 11)
+            graph = random_graph(rng, m)
+            edges = graph.edge_list()
+            spos = sorted(rng.sample(range(m), k))
+            chosen = [rng.choice(values) for _ in spos]
+            shared += len(set(chosen)) < k
+            with_constant += any(w in constants for w in chosen)
+            probmap = EdgeProbabilityMap.with_overrides(graph, {edges[i]: w for i, w in zip(spos, chosen)})
+            n = m - k
+            counts = [[rng.randint(0, comb(n, i)) for i in range(n + 1)] for _ in range(1 << k)]
+            weights = [probmap.poly_for_edge(e) for e in edges]
+            assert reliability.polynomial_from_counts(graph, probmap, counts) == assembled_by_pattern(weights, spos, counts)
+    assert shared >= 20 and with_constant >= 20
 
 
 def test_rho_prime_leq_rho_and_spfp_equality(b0_cfp):

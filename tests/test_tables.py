@@ -34,6 +34,7 @@ from relayopt.reliability import (
     rho_A,
     spectrum_from_table,
     subset_counts,
+    walk_counts,
 )
 
 from conftest import grid, random_graph
@@ -216,10 +217,12 @@ def reliability_oracle(protocol: Protocol, probmap: EdgeProbabilityMap) -> Poly:
 
 def test_walk_tables_of_protocols_containing_the_cfp_match_oracles():
     """36 graphs with m = 0..12: random, with an s-r edge, and (up to
-    m = 10) with s and r disconnected.  Every protocol containing the CFP
-    gets its table from the connectivity sweep, so it is checked here
-    against the per-subset walk search, and its reliability against the
-    per-subset polynomial sum."""
+    m = 10) with s and r disconnected.  On every protocol containing the
+    CFP, the walk table from the per-subset search is checked against
+    ``subset_admits_walk``, and the reliability, which ``walk_counts``
+    reads off the connectivity counts, against the per-subset polynomial
+    sum.  ``tests/test_frontier.py``'s differential checks those counts
+    against the connectivity table."""
     rng = random.Random(4242)
     graphs = []
     for m in range(13):
@@ -239,24 +242,33 @@ def test_walk_tables_of_protocols_containing_the_cfp_match_oracles():
 
 
 def test_only_protocols_containing_the_cfp_skip_the_walk_search(monkeypatch):
-    """The connectivity table is taken exactly when the protocol contains
-    every CFP instruction: removing any one of them, even where the walk
-    table comes out the same, sends the protocol back to the walk search."""
-    searched = []
-    real = reliability.monotone_table
-    monkeypatch.setattr(reliability, "monotone_table", lambda m, test: searched.append(m) or real(m, test))
+    """``walk_counts`` takes the connectivity counts exactly when the
+    protocol contains every CFP instruction, and then builds no table:
+    removing any one of them, even where the walk table comes out the same,
+    sends the protocol back to the walk search."""
+    def no_table(graph):
+        raise AssertionError("connectivity table built")
+
+    searched, tables = [], []
+    real_search, real_table = reliability.monotone_table, reliability.admits_table
+    monkeypatch.setattr(reliability, "monotone_table", lambda m, test: searched.append(m) or real_search(m, test))
+    monkeypatch.setattr(reliability, "admits_table", lambda protocol: tables.append(real_table(protocol)) or tables[-1])
+    monkeypatch.setattr(reliability, "connectivity_table", no_table)
     rng = random.Random(31)
     for graph in (random_graph(rng, 9), adjacent_graph(rng, 8), grid(2, 3)):
         for protocol in cfp_supersets(rng, graph):
             searched.clear()
-            admits_table(protocol)
-            assert not searched
+            tables.clear()
+            walk_counts(protocol, None)
+            assert not searched and not tables
         for ins in sorted(cfp(graph).instructions):
             protocol = cfp(graph).minus([ins])
             searched.clear()
-            table = admits_table(protocol)
-            assert searched == [graph.m]
-            assert table == table_of(graph.m, lambda S: subset_admits_walk(protocol, subset_edges(graph, S)))
+            tables.clear()
+            counts = walk_counts(protocol, None)
+            assert searched == [graph.m] and len(tables) == 1
+            assert tables[0] == table_of(graph.m, lambda S: subset_admits_walk(protocol, subset_edges(graph, S)))
+            assert counts == subset_counts(graph, None, tables[0])
 
 
 def test_table_builds_stay_within_a_few_columns_of_memory():
