@@ -238,8 +238,10 @@ def _run(args, stdin, stdout) -> None:
         protocol = _load_protocol(args.protocol, graph)
         emit(protocol_json(engine.spfp_reduce(protocol)))
     elif cmd == "reliability":
-        reliability.check_scan_guard(graph.m)  # before the CFP's paths are enumerated
-        plain = args.protocol is None and not args.prime  # rho, from the graph alone
+        reliability.check_scan_guard(graph.m)  # before any protocol is loaded
+        # With no protocol the CFP is meant, whose walk and path reliability
+        # are both rho, from the graph alone: no CFP is built.
+        plain = args.protocol is None
         protocol = None if plain else _load_protocol(args.protocol, graph)
         at = None if args.at is None else require_open_unit(parse_rational(args.at))
         if plain:

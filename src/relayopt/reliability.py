@@ -15,7 +15,9 @@ all subsets at once.
   the oracle of ``connectivity_counts``, and its sweep, run over the
   worlds of one failure level, serves the failure-level searches.
 - Paths: the OR, over the protocol's path edge sets, of the AND of each
-  set's columns.
+  set's columns; only the columns of edges on some path are built.
+  ``rho_prime_A`` builds it only for protocols that do not contain the
+  CFP.
 - Walks: admission is monotone in the subset, so ``monotone_table`` runs
   a state-graph search only on lattice-minimal candidates and on
   non-admitting sets, one subset at a time; its byte per subset is packed
@@ -28,17 +30,18 @@ block of the table.  The polynomial is assembled from those counts: each
 pattern's row becomes its plain-edge polynomial, and the rows are folded
 in pairs, one overridden edge at a time, by that edge's w and 1 - w.
 
-The connectivity counts (``rho``, the cut census, and the walk counts of
-a protocol that contains the CFP) come from ``connectivity_counts``
-instead, which keeps one packed count per partition of a narrow frontier
-of vertices and override pattern, and no 2^m table.
+The connectivity counts (``rho``, the cut census, and the walk and path
+counts of a protocol that contains the CFP) come from
+``connectivity_counts`` instead, which keeps one packed count per
+partition of a narrow frontier of vertices and override pattern, and no
+2^m table.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .engine import StateGraph, _bits, _sweep, a_paths, contains_cfp
+from .engine import StateGraph, _bits, _sweep, a_paths, contains_cfp, enumerate_sr_paths
 from .errors import GuardExceededError
 from .graphs import Edge, EdgeProbabilityMap, Protocol, TwoTerminalGraph, edge_key
 from .polys import Poly, _canonical
@@ -171,14 +174,18 @@ def path_masks(protocol: Protocol) -> list[int]:
 
 def _superset_table(m: int, masks: Iterable[int]) -> int:
     """Indicator of subsets containing one of the edge masks: the OR, over
-    the masks, of the AND of each mask's columns."""
-    columns = [_column(m, e) for e in range(m)]
+    the masks, of the AND of each mask's columns.  A column is built when
+    a mask first needs it, so edges on no mask cost nothing."""
+    columns: dict[int, int] = {}
     full = _full(m)
     table = 0
     for mask in masks:
         up = full
         for e in _bits(mask):
-            up &= columns[e]
+            column = columns.get(e)
+            if column is None:
+                column = columns[e] = _column(m, e)
+            up &= column
         table |= up
     return table
 
@@ -520,9 +527,19 @@ def rho_A(protocol: Protocol, probmap: EdgeProbabilityMap | None = None) -> Poly
 
 
 def rho_prime_A(protocol: Protocol, probmap: EdgeProbabilityMap | None = None) -> Poly:
-    """Probability that the edge set of some protocol path fully survives."""
-    table = path_table(protocol)
-    return polynomial_from_table(protocol.graph, probmap, table)
+    """Probability that the edge set of some protocol path fully survives,
+    read off the table of the protocol paths.  The s,r-paths are
+    enumerated once: when every one is a protocol path, the protocol
+    contains the CFP and this is ``rho``, read off the connectivity
+    counts with no table built."""
+    graph = protocol.graph
+    check_scan_guard(graph.m)
+    paths = enumerate_sr_paths(graph)
+    # plain triples hash and compare as the Instruction tuples they stand for
+    kept = [p for p in paths if protocol.instructions.issuperset(zip(p, p[1:], p[2:]))]
+    if len(kept) == len(paths):
+        return rho(graph, probmap)
+    return polynomial_from_table(graph, probmap, _superset_table(graph.m, edge_masks(graph, kept)))
 
 
 def rho(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None = None) -> Poly:

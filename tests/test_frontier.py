@@ -35,9 +35,17 @@ from relayopt.asymptotics import cut_census
 from relayopt.cli import main
 from relayopt.constructions import path_graph, realize
 from relayopt.errors import GuardExceededError
-from relayopt.graphs import graph_json
+from relayopt.graphs import all_instructions, graph_json
 from relayopt.polys import Poly
-from relayopt.reliability import MAX_SCAN_EDGES, MAX_SPECIAL_EDGES, connectivity_table, spectrum_from_table, subset_counts
+from relayopt.reliability import (
+    MAX_SCAN_EDGES,
+    MAX_SPECIAL_EDGES,
+    connectivity_table,
+    path_table,
+    polynomial_from_table,
+    spectrum_from_table,
+    subset_counts,
+)
 
 from conftest import complete_graph, grid, random_graph
 
@@ -120,7 +128,7 @@ def test_connectivity_counts_match_the_table():
         counts = connectivity_counts(g, probmap)
         assert counts == subset_counts(g, probmap, connectivity_table(g))
         disconnected += not any(map(any, counts))
-        assert rho(g, probmap) == rho_prime_A(cfp(g), probmap)
+        assert rho(g, probmap) == polynomial_from_table(g, probmap, path_table(cfp(g)))
     assert disconnected >= 10
 
 
@@ -221,6 +229,58 @@ def test_protocols_containing_the_cfp_build_no_table(monkeypatch):
     assert discrepancy(g, [], check_event=True).polynomial == Poly.zero()
     # a finite CFP is the one candidate, its removal set empty
     assert candidate_polynomials(routes) == [(frozenset(), 2 * X ** 2 - X ** 4)]
+
+
+def test_path_reliability_of_protocols_containing_the_cfp_builds_no_table(monkeypatch):
+    """Every s,r-path of such a protocol is a protocol path, so its path
+    reliability is ``rho``: ``rho_prime_A`` reads the connectivity counts,
+    and ``reliability --prime`` without a protocol builds no CFP either.
+    Each answer equals the path-table polynomial, computed beforehand."""
+    rng = random.Random(1996)
+    cases = []
+    for graph in (grid(3, 3), random_graph(rng, 10), with_sr_edge(rng, 9), with_stray_component(rng, 7)):
+        base = cfp(graph)
+        extra = [i for i in all_instructions(graph) if i not in base.instructions]
+        for protocol in (base, base.union(i for i in extra if rng.random() < 0.5)):
+            probmap = random_overrides(rng, graph)
+            expected = polynomial_from_table(graph, probmap, path_table(protocol))
+            cases.append((protocol, probmap, expected))
+    g = grid(3, 4)
+    probmap = EdgeProbabilityMap.with_overrides(g, {("0.0", "0.1"): X ** 2, ("1.2", "1.3"): VALUES[2]})
+    expected = polynomial_from_table(g, probmap, path_table(cfp(g)))
+    for table in ("path_table", "connectivity_table", "admits_table"):
+        monkeypatch.setattr(reliability, table, boom)
+    for protocol, pm, poly in cases:
+        assert rho_prime_A(protocol, pm) == poly
+    monkeypatch.setattr(engine, "enumerate_sr_paths", boom)
+    assert run_cli(["reliability", "--prime"], g, probmap) == {"poly": expected.to_strings()}
+    value = run_cli(["reliability", "--prime", "--at", "2/5"], g, probmap)["value"]
+    assert Fraction(value) == expected(Fraction(2, 5))
+
+
+def test_path_reliability_enumerates_the_paths_once(monkeypatch):
+    """The same one enumeration of the s,r-paths tells whether the
+    protocol contains the CFP and, when it does not, gives its paths: the
+    CFP minus one instruction takes one enumeration and no walk search,
+    and its answer is the path-table polynomial."""
+    rng = random.Random(2007)
+    cases = []
+    for graph in (grid(3, 3), random_graph(rng, 10), with_sr_edge(rng, 9)):
+        base = sorted(cfp(graph).instructions)
+        for dropped in rng.sample(base, 3):
+            protocol = relayopt.Protocol(graph, [i for i in base if i != dropped])
+            probmap = random_overrides(rng, graph)
+            cases.append((protocol, probmap, polynomial_from_table(graph, probmap, path_table(protocol))))
+    calls = []
+    enumerate_sr_paths = engine.enumerate_sr_paths
+    monkeypatch.setattr(engine, "enumerate_sr_paths", boom)
+    monkeypatch.setattr(reliability, "enumerate_sr_paths", lambda g: calls.append(g) or enumerate_sr_paths(g))
+    for table in ("connectivity_table", "admits_table"):
+        monkeypatch.setattr(reliability, table, boom)
+    for protocol, probmap, expected in cases:
+        calls.clear()
+        assert rho_prime_A(protocol, probmap) == expected
+        assert calls == [protocol.graph]
 
 
 def test_guards_come_before_any_work(monkeypatch):

@@ -26,7 +26,7 @@ from relayopt.constructions import path_graph, realize
 from relayopt.errors import GuardExceededError
 from relayopt.optimizer import candidate_polynomials
 from relayopt.polys import Poly
-from relayopt.reliability import admits_table, connectivity_table
+from relayopt.reliability import admits_table, connectivity_table, path_table, polynomial_from_table
 
 from conftest import random_connected_graph, random_graph
 
@@ -126,7 +126,7 @@ def test_rho_methods_agree_on_b0(b0_graph, b0_cfp):
     direct = rho(b0_graph)
     assert direct == rho_by_walk_oracle(b0_graph)
     assert direct == rho_prime_inclusion_exclusion(b0_cfp)
-    assert direct == rho_prime_A(b0_cfp)
+    assert direct == polynomial_from_table(b0_graph, None, path_table(b0_cfp))
     # frozen value derived from the exhaustive scan oracles above
     assert direct(HALF) == Fraction(367, 1024)
 
@@ -136,7 +136,7 @@ def test_rho_methods_agree_random():
     for _ in range(8):
         g = random_connected_graph(rng, 3, 8)
         direct = rho(g)
-        assert direct == rho_prime_A(cfp(g))
+        assert direct == polynomial_from_table(g, None, path_table(cfp(g)))
         assert direct == rho_by_walk_oracle(g)
 
 

@@ -271,6 +271,18 @@ def test_only_protocols_containing_the_cfp_skip_the_walk_search(monkeypatch):
             assert counts == subset_counts(graph, None, tables[0])
 
 
+def test_superset_tables_build_only_the_columns_of_their_masks(monkeypatch):
+    """Two path masks over 5 of 14 edges build those 5 columns, and the
+    table is the per-subset oracle's."""
+    m, masks = 14, [0b1011, 0b11 << 10]
+    built = []
+    column = reliability._column
+    monkeypatch.setattr(reliability, "_column", lambda m, e: built.append(e) or column(m, e))
+    table = reliability._superset_table(m, masks)
+    assert sorted(built) == [0, 1, 3, 10, 11]
+    assert table == table_of(m, lambda S: any(mask & ~S == 0 for mask in masks))
+
+
 def test_table_builds_stay_within_a_few_columns_of_memory():
     """An int over 2^m subsets takes 2^m/8 bytes, plus 1/15 for CPython's
     30-bit digits.  At m = 20 the connectivity build keeps at most 2m+n+3
