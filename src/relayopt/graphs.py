@@ -228,11 +228,6 @@ class EdgeProbabilityMap:
         return cls(graph, {e: x for e in graph.edges})
 
     @classmethod
-    def uniform(cls, graph: TwoTerminalGraph, value: Fraction) -> EdgeProbabilityMap:
-        c = Poly.constant(value)
-        return cls(graph, {e: c for e in graph.edges})
-
-    @classmethod
     def with_overrides(
         cls,
         graph: TwoTerminalGraph,

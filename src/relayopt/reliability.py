@@ -16,7 +16,7 @@ all subsets at once.
   worlds of one failure level, serves the failure-level searches.
 - Paths: the OR, over the protocol's path edge sets, of the AND of each
   set's columns; only the columns of edges on some path are built.
-  ``rho_prime_A`` builds it only for protocols that do not contain the
+  ``path_counts`` builds it only for protocols that do not contain the
   CFP.
 - Walks: admission is monotone in the subset, so ``monotone_table`` runs
   a state-graph search only on lattice-minimal candidates and on
@@ -32,9 +32,12 @@ in pairs, one overridden edge at a time, by that edge's w and 1 - w.
 
 The connectivity counts (``rho``, the cut census, and the walk and path
 counts of a protocol that contains the CFP) come from
-``connectivity_counts`` instead, which keeps one packed count per
-partition of a narrow frontier of vertices and override pattern, and no
-2^m table.
+``connectivity_counts`` instead, which builds no 2^m table.  It decides
+every edge, in one BFS order over all components, by the same step: one
+packed count per partition of a narrow frontier of vertices and override
+pattern moves to the partition the edge leaves when it fails and to the
+one it leaves when it survives.  Joined s and r are one more partition,
+the empty one, which every edge leaves as it is.
 """
 
 from __future__ import annotations
@@ -297,7 +300,7 @@ def walk_spectrum(protocol: Protocol) -> tuple[int, ...]:
 
 def path_spectrum(protocol: Protocol) -> tuple[int, ...]:
     """a_i = number of i-edge subsets containing some protocol path."""
-    return spectrum_from_table(protocol.graph.m, path_table(protocol))
+    return tuple(path_counts(protocol, None)[0])
 
 
 def _edge_polynomials(
@@ -361,9 +364,11 @@ def connectivity_counts(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | N
     the edges (Carlier & Lucet 1996; Hardy, Lucet & Limnios 2007) instead
     of a 2^m-bit table.
 
-    Edges are decided in BFS order from s, keyed by their later endpoint.
-    The frontier is the vertices with both decided and undecided edges, and
-    a configuration is their partition into components of the surviving
+    One BFS ranks every vertex, the component of s first, and the edges are
+    decided in that order, keyed by their later endpoint.  The frontier is
+    s, r and the vertices with both decided and undecided edges; an edge
+    brings in each endpoint not on it with a fresh label.  A configuration
+    is the partition of the frontier into components of the surviving
     decided edges: a tuple of labels, 0 for the component of s and 1 for
     that of r.  Configurations are grouped by the override pattern of the
     decided edges (bit k for the k-th overridden edge in canonical order),
@@ -373,55 +378,39 @@ def connectivity_counts(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | N
     holds only the patterns that occur, so heavy overrides cost entries,
     not a dense block of 2^k patterns per configuration.
 
-    A configuration that joins s and r finishes at once into the joined
-    int of its pattern, which every later edge, surviving or not,
-    multiplies by (1 + x_e).  One whose component of s, or of r once r is
-    reached, leaves the frontier can no longer join them and is dropped.
-    Edges that s cannot reach only multiply the joined ints."""
+    Joined s and r are the configuration ``()``, which every edge leaves as
+    it is; the counts are read from it at the end.  A configuration whose
+    label 0 or 1 leaves the frontier can no longer join them: it is dropped."""
     m = graph.m
     check_scan_guard(m)
     spos = _overridden(graph, probmap)
     edges = graph.edge_list()
     s, r = graph.s, graph.r
-    queue = [s]
-    rank = {s: 0}
-    for v in queue:
-        for w in graph.neighbors(v):
-            if w not in rank:
-                rank[w] = len(queue)
-                queue.append(w)
-    reached = sorted(
-        (max(rank[u], rank[v]), min(rank[u], rank[v]), e) for e, (u, v) in enumerate(edges) if u in rank
-    )
+    rank: dict[str, int] = {}
+    for root in (s, *sorted(graph.vertices)):
+        if root not in rank:
+            rank[root] = len(rank)
+            queue = [root]
+            for v in queue:
+                for w in graph.neighbors(v):
+                    if w not in rank:
+                        rank[w] = len(rank)
+                        queue.append(w)
+    order = sorted((max(rank[u], rank[v]), min(rank[u], rank[v]), e) for e, (u, v) in enumerate(edges))
     flag = [0] * m  # pattern bit of each overridden edge
     for k, e in enumerate(spos):
         flag[e] = 1 << k
     width = 8 * (m // 8 + 1)
-    last = {}
-    for j, (_, _, e) in enumerate(reached):
-        for v in edges[e]:
-            last[v] = j
+    last = {s: 0, r: 0}  # an s or r with no edge leaves at the first step
+    last.update((v, j) for j, (_, _, e) in enumerate(order) for v in edges[e])
 
-    frontier = [s]
-    states: dict[int, dict[tuple[int, ...], int]] = {0: {(0,): 1}}
-    joined: dict[int, int] = {}
-
-    def multiply(e: int) -> None:
-        """Multiply every joined int by (1 + x_e)."""
-        if flag[e]:
-            joined.update([(pattern | flag[e], count) for pattern, count in joined.items()])
-        else:
-            for pattern, count in joined.items():
-                joined[pattern] = count + (count << width)
-
-    r_seen = False
-    for j, (_, _, e) in enumerate(reached):
-        multiply(e)
-        u, v = sorted(edges[e], key=rank.__getitem__)
-        entering = v not in frontier  # v enters with its first edge, to an earlier vertex
-        if entering:
-            frontier.append(v)
-            r_seen = r_seen or v == r
+    frontier = [s, r]
+    states: dict[int, dict[tuple[int, ...], int]] = {0: {(0, 1): 1}}
+    for j, (_, _, e) in enumerate(order):
+        u, v = edges[e]
+        entering = [x for x in (u, v) if x not in frontier]
+        fresh = tuple(range(len(frontier), len(frontier) + len(entering)))  # above every label in use
+        frontier += entering
         a, b = frontier.index(u), frontier.index(v)
         keep = [i for i, x in enumerate(frontier) if last[x] != j]
         frontier = [frontier[i] for i in keep]
@@ -431,23 +420,22 @@ def connectivity_counts(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | N
             by first occurrence keeping 0 and 1, or None if it is dropped."""
             seen = {0: 0, 1: 1}
             key = tuple([seen.setdefault(labels[i], len(seen)) for i in keep])
-            return key if 0 in key and (1 in key or not r_seen) else None
+            return key if 0 in key and 1 in key else None
 
-        # Where each configuration goes, the same in every pattern: the
-        # configuration if e fails, and if it survives, the joined ints or
-        # a configuration (None where it is dropped).
-        moves: dict[tuple[int, ...], tuple] = {}
+        # Where each configuration goes if e fails and if it survives, the
+        # same in every pattern (None where it is dropped).
+        moves: dict[tuple[int, ...], tuple] = {(): ((), ())}
         for group in states.values():
             for labels in group:
                 if labels in moves:
                     continue
-                grown = labels + (1 if v == r else max(max(labels), 1) + 1,) if entering else labels
+                grown = labels + fresh
                 la, lb = grown[a], grown[b]
                 failed = settle(grown)
                 if la == lb:  # surviving or not, e joins nothing
                     moves[labels] = (failed, failed)
                 elif la + lb == 1:
-                    moves[labels] = (failed, joined)
+                    moves[labels] = (failed, ())
                 else:
                     low, high = min(la, lb), max(la, lb)
                     moves[labels] = (failed, settle([low if x == high else x for x in grown]))
@@ -461,20 +449,15 @@ def connectivity_counts(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | N
                 failed, survived = moves[labels]
                 if failed is not None:
                     fail[failed] = fail.get(failed, 0) + count
-                if survived is joined:
-                    joined[pattern | flag[e]] = joined.get(pattern | flag[e], 0) + (count << shift)
-                elif survived is not None:
+                if survived is not None:
                     live[survived] = live.get(survived, 0) + (count << shift)
         states = {pattern: group for pattern, group in following.items() if group}
-    for e in range(m):
-        if edges[e][0] not in rank:
-            multiply(e)
 
     step = width // 8
     fields = m - len(spos) + 1
     counts = []
     for pattern in range(1 << len(spos)):
-        data = joined.get(pattern, 0).to_bytes(step * fields, "little")
+        data = states.get(pattern, {}).get((), 0).to_bytes(step * fields, "little")
         counts.append([int.from_bytes(data[at:at + step], "little") for at in range(0, step * fields, step)])
     return counts
 
@@ -521,25 +504,30 @@ def walk_counts(protocol: Protocol, probmap: EdgeProbabilityMap | None) -> list[
     return subset_counts(graph, probmap, admits_table(protocol))
 
 
-def rho_A(protocol: Protocol, probmap: EdgeProbabilityMap | None = None) -> Poly:
-    """Probability that the edges of some protocol walk all survive."""
-    return polynomial_from_counts(protocol.graph, probmap, walk_counts(protocol, probmap))
-
-
-def rho_prime_A(protocol: Protocol, probmap: EdgeProbabilityMap | None = None) -> Poly:
-    """Probability that the edge set of some protocol path fully survives,
-    read off the table of the protocol paths.  The s,r-paths are
+def path_counts(protocol: Protocol, probmap: EdgeProbabilityMap | None) -> list[list[int]]:
+    """The subset counts of the protocol's path table.  The s,r-paths are
     enumerated once: when every one is a protocol path, the protocol
-    contains the CFP and this is ``rho``, read off the connectivity
-    counts with no table built."""
+    contains the CFP and these are the connectivity counts, with no table
+    built; otherwise they give the table of the protocol paths."""
     graph = protocol.graph
     check_scan_guard(graph.m)
     paths = enumerate_sr_paths(graph)
     # plain triples hash and compare as the Instruction tuples they stand for
     kept = [p for p in paths if protocol.instructions.issuperset(zip(p, p[1:], p[2:]))]
     if len(kept) == len(paths):
-        return rho(graph, probmap)
-    return polynomial_from_table(graph, probmap, _superset_table(graph.m, edge_masks(graph, kept)))
+        return connectivity_counts(graph, probmap)
+    return subset_counts(graph, probmap, _superset_table(graph.m, edge_masks(graph, kept)))
+
+
+def rho_A(protocol: Protocol, probmap: EdgeProbabilityMap | None = None) -> Poly:
+    """Probability that the edges of some protocol walk all survive."""
+    return polynomial_from_counts(protocol.graph, probmap, walk_counts(protocol, probmap))
+
+
+def rho_prime_A(protocol: Protocol, probmap: EdgeProbabilityMap | None = None) -> Poly:
+    """Probability that the edge set of some protocol path fully survives:
+    the path counts, assembled."""
+    return polynomial_from_counts(protocol.graph, probmap, path_counts(protocol, probmap))
 
 
 def rho(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None = None) -> Poly:

@@ -359,9 +359,6 @@ class AlgebraicNumber:
             return NotImplemented
         return self.compare(other) == 0
 
-    def approx(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
     def __repr__(self) -> str:
         if self.exact is not None:
             return f"AlgebraicNumber({self.exact})"

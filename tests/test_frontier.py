@@ -24,6 +24,7 @@ from relayopt import (
     connectivity_counts,
     discrepancy,
     engine,
+    path_spectrum,
     reliability,
     rho,
     rho_A,
@@ -80,6 +81,27 @@ def with_stray_component(rng: random.Random, m: int) -> TwoTerminalGraph:
     return TwoTerminalGraph(verts, list(g.edges) + [("x0", "x1"), ("x1", "x2"), ("x0", "x2")], "s", r)
 
 
+def with_isolated_sender(rng: random.Random, m: int) -> TwoTerminalGraph:
+    """A random graph with m edges, its sender moved to a new vertex with
+    no edges: every edge is one s cannot reach."""
+    g = random_graph(rng, m)
+    return TwoTerminalGraph(list(g.vertices) + ["x"], g.edges, "x", "r")
+
+
+def with_large_stray_component(rng: random.Random, m: int) -> tuple[TwoTerminalGraph, EdgeProbabilityMap]:
+    """A random graph with m edges plus a cycle of 4 to 6 vertices with two
+    chords, which s cannot reach; 1 to 4 of that component's edges, and no
+    other, are overridden."""
+    g = random_graph(rng, m)
+    stray = [f"x{i}" for i in range(rng.randint(4, 6))]
+    cycle = list(zip(stray, stray[1:] + stray[:1]))
+    chords = [(a, b) for i, a in enumerate(stray) for b in stray[i + 2:] if (b, a) not in cycle]
+    chords = rng.sample(chords, 2)
+    graph = TwoTerminalGraph(list(g.vertices) + stray, list(g.edges) + cycle + chords, "s", "r")
+    heavy = rng.sample(cycle + chords, rng.randint(1, 4))
+    return graph, EdgeProbabilityMap.with_overrides(graph, {e: rng.choice(VALUES) for e in heavy})
+
+
 def complete_bipartite(a: int, b: int, s: str, r: str) -> TwoTerminalGraph:
     left, right = [f"a{i}" for i in range(a)], [f"b{i}" for i in range(b)]
     return TwoTerminalGraph(left + right, [(x, y) for x in left for y in right], s, r)
@@ -109,13 +131,16 @@ def random_overrides(rng: random.Random, graph: TwoTerminalGraph) -> EdgeProbabi
     return EdgeProbabilityMap.with_overrides(graph, {e: rng.choice(VALUES) for e in edges})
 
 
-def differential_graphs(rng: random.Random) -> list[TwoTerminalGraph]:
+def differential_graphs(rng: random.Random) -> list[tuple[TwoTerminalGraph, EdgeProbabilityMap | None]]:
+    """The graphs of the differential, each with its overrides."""
     graphs = [random_graph(rng, m) for m in range(15) for _ in range(10)]
     graphs += [random_tree(rng, rng.randint(2, 15)) for _ in range(20)]
     graphs += [with_sr_edge(rng, rng.randint(1, 14)) for _ in range(20)]
     graphs += [with_stray_component(rng, rng.randint(0, 11)) for _ in range(20)]
     graphs += [grid(rows, cols) for rows, cols in ((1, 2), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3))]
-    return graphs
+    graphs += [with_isolated_sender(rng, rng.randint(1, 12)) for _ in range(10)]
+    cases = [(g, random_overrides(rng, g)) for g in graphs]
+    return cases + [with_large_stray_component(rng, rng.randint(1, 7)) for _ in range(20)]
 
 
 def test_connectivity_counts_match_the_table():
@@ -123,8 +148,7 @@ def test_connectivity_counts_match_the_table():
     graphs = differential_graphs(rng)
     assert len(graphs) >= 200
     disconnected = 0
-    for g in graphs:
-        probmap = random_overrides(rng, g)
+    for g, probmap in graphs:
         counts = connectivity_counts(g, probmap)
         assert counts == subset_counts(g, probmap, connectivity_table(g))
         disconnected += not any(map(any, counts))
@@ -235,7 +259,8 @@ def test_path_reliability_of_protocols_containing_the_cfp_builds_no_table(monkey
     """Every s,r-path of such a protocol is a protocol path, so its path
     reliability is ``rho``: ``rho_prime_A`` reads the connectivity counts,
     and ``reliability --prime`` without a protocol builds no CFP either.
-    Each answer equals the path-table polynomial, computed beforehand."""
+    Each answer equals the path-table polynomial, and each ``path_spectrum``
+    the path table's spectrum, computed beforehand."""
     rng = random.Random(1996)
     cases = []
     for graph in (grid(3, 3), random_graph(rng, 10), with_sr_edge(rng, 9), with_stray_component(rng, 7)):
@@ -244,14 +269,15 @@ def test_path_reliability_of_protocols_containing_the_cfp_builds_no_table(monkey
         for protocol in (base, base.union(i for i in extra if rng.random() < 0.5)):
             probmap = random_overrides(rng, graph)
             expected = polynomial_from_table(graph, probmap, path_table(protocol))
-            cases.append((protocol, probmap, expected))
+            cases.append((protocol, probmap, expected, spectrum_from_table(graph.m, path_table(protocol))))
     g = grid(3, 4)
     probmap = EdgeProbabilityMap.with_overrides(g, {("0.0", "0.1"): X ** 2, ("1.2", "1.3"): VALUES[2]})
     expected = polynomial_from_table(g, probmap, path_table(cfp(g)))
     for table in ("path_table", "connectivity_table", "admits_table"):
         monkeypatch.setattr(reliability, table, boom)
-    for protocol, pm, poly in cases:
+    for protocol, pm, poly, spectrum in cases:
         assert rho_prime_A(protocol, pm) == poly
+        assert path_spectrum(protocol) == spectrum
     monkeypatch.setattr(engine, "enumerate_sr_paths", boom)
     assert run_cli(["reliability", "--prime"], g, probmap) == {"poly": expected.to_strings()}
     value = run_cli(["reliability", "--prime", "--at", "2/5"], g, probmap)["value"]
