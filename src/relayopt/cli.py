@@ -228,11 +228,15 @@ def _run(args, stdin, stdout) -> None:
         emit({"paths": [list(p) for p in engine.enumerate_sr_paths(graph)]})
     elif cmd == "finite":
         protocol = _load_protocol(args.protocol, graph)
-        finite = engine.is_finite(protocol)
-        result = {"finite": finite}
-        if args.witness and not finite:
+        if args.witness:
+            # the witness search builds the one state graph: None exactly
+            # when the protocol is finite
             witness = engine.finiteness_witness(protocol)
-            result["witness"] = [list(state) for state in witness]
+            result = {"finite": witness is None}
+            if witness is not None:
+                result["witness"] = [list(state) for state in witness]
+        else:
+            result = {"finite": engine.is_finite(protocol)}
         emit(result)
     elif cmd == "spfp-reduce":
         protocol = _load_protocol(args.protocol, graph)

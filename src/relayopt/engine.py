@@ -14,7 +14,7 @@ through a state (y,r).  Under this encoding:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GuardExceededError, InfiniteProtocolError
 from .graphs import Instruction, Protocol, TwoTerminalGraph
@@ -64,13 +64,16 @@ def enumerate_sr_paths(graph: TwoTerminalGraph) -> list[Walk]:
 def cfp(graph: TwoTerminalGraph) -> Protocol:
     """The complete forwarding protocol: every instruction contained in some
     simple s,r-path."""
-    return Protocol(graph, _cfp_instructions(graph))
+    return Protocol(graph, _cfp_triples(graph))
 
 
-def _cfp_instructions(graph: TwoTerminalGraph) -> frozenset[Instruction]:
-    """The CFP's instruction set, enumerated once per graph object and kept
-    on it: the graph is immutable, and the optimizer and the walk tables
-    ask for it once per candidate protocol."""
+def _cfp_triples(graph: TwoTerminalGraph) -> frozenset[tuple[str, str, str]]:
+    """The CFP's instructions as plain triples, enumerated once per graph
+    object and kept on it: the graph is immutable, and ``cfp`` and
+    ``contains_cfp`` may ask for them many times.  ``Protocol`` wraps each
+    triple once; plain triples hash and compare as the ``Instruction``
+    tuples they stand for, so they are compared with protocols as they
+    are."""
     try:
         return graph._cfp
     except AttributeError:
@@ -80,7 +83,7 @@ def _cfp_instructions(graph: TwoTerminalGraph) -> frozenset[Instruction]:
     triples: set[tuple[str, str, str]] = set()
     for p in enumerate_sr_paths(graph):
         triples.update(zip(p, p[1:], p[2:]))
-    found = frozenset(Instruction(*t) for t in triples)
+    found = frozenset(triples)
     object.__setattr__(graph, "_cfp", found)
     return found
 
@@ -89,7 +92,7 @@ def contains_cfp(protocol: Protocol) -> bool:
     """Whether the protocol holds every CFP instruction.  Such a protocol
     admits a walk in exactly the subsets that connect s and r: every
     s,r-path is a CFP walk, and every walk contains an s,r-path."""
-    return protocol.instructions >= _cfp_instructions(protocol.graph)
+    return protocol.instructions >= _cfp_triples(protocol.graph)
 
 
 def a_paths(protocol: Protocol) -> list[Walk]:
@@ -227,7 +230,12 @@ class StateGraph:
     ``succ[i]`` cut to useful states, and ``arcs[i]`` lists the same
     successors ascending.  ``order`` is the useful states, each before its
     essential successors, or None when the protocol is infinite (the
-    essential transitions hold a cycle).  Every walk over it is iterative."""
+    essential transitions hold a cycle).  Every walk over it is iterative.
+
+    ``without`` gives the state graph of a protocol with fewer
+    instructions from this one, with no protocol built: the layout fields
+    (``graph`` to ``accepting``) are shared, and the fields read off
+    ``succ`` are derived by the code the constructor runs."""
 
     __slots__ = ("graph", "states", "edge", "succ", "initial", "initial_mask", "accepting", "useful",
                  "essential", "arcs", "order")
@@ -242,15 +250,33 @@ class StateGraph:
         succ = [0] * len(pairs)
         for u, v, w in protocol.instructions:
             succ[index[(u, v)]] |= 1 << index[(v, w)]
-        self.succ = tuple(succ)
         self.initial = tuple(index[(graph.s, x)] for x in graph.neighbors(graph.s))
         self.initial_mask = sum(1 << i for i in self.initial)
         self.accepting = sum(1 << index[(y, graph.r)] for y in graph.neighbors(graph.r))
+        self._derive(succ)
+
+    def _derive(self, succ: list[int]) -> None:
+        """Set ``succ`` and the fields read off it: ``useful``,
+        ``essential``, ``arcs`` and ``order``."""
+        self.succ = tuple(succ)
         self.useful = useful = _useful(succ, _predecessors(succ), self.initial_mask, self.accepting)
         self.essential = essential = tuple(_essential(succ, useful))
         self.arcs = tuple(map(_bits, essential))
         order = topological_order(essential)
         self.order = None if order is None else tuple(i for i in order if useful >> i & 1)
+
+    def without(self, transitions: Iterable[tuple[int, int]]) -> StateGraph:
+        """The state graph of the same protocol minus the transitions
+        i -> j given (state indices): the same states, edges, initial and
+        accepting states, and the successor masks with those bits cleared."""
+        succ = list(self.succ)
+        for i, j in transitions:
+            succ[i] &= ~(1 << j)
+        reduced = StateGraph.__new__(StateGraph)
+        for name in ("graph", "states", "edge", "initial", "initial_mask", "accepting"):
+            setattr(reduced, name, getattr(self, name))
+        reduced._derive(succ)
+        return reduced
 
     def delivered(self, columns: Sequence[int]) -> int:
         """Bitset of the worlds (sampled trials, or edge subsets) in which

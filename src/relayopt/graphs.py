@@ -35,8 +35,9 @@ def edge_key(u: str, v: str) -> Edge:
 class TwoTerminalGraph:
     """Immutable simple graph with sender ``s`` and receiver ``r``.
 
-    ``_cfp`` holds the CFP instruction set once ``engine.cfp`` has
-    enumerated it; it is unset until then."""
+    ``_cfp`` holds the CFP's instructions, as plain triples, once
+    ``engine.cfp`` or ``engine.contains_cfp`` has enumerated them; it is
+    unset until then."""
 
     __slots__ = ("vertices", "edges", "s", "r", "_adj", "_cfp")
 

@@ -43,12 +43,13 @@ from .reliability import (
     _superset_table,
     admits_table,
     check_scan_guard,
+    connectivity_counts,
     edge_masks,
     polynomial_from_counts,
     polynomial_from_table,
     rho,
     rho_A,
-    walk_counts,
+    subset_counts,
 )
 from .roots import AlgebraicNumber, rational_between, roots_with_multiplicity
 
@@ -76,14 +77,15 @@ class DiscrepancyReport:
 def _removal_event_polynomial(
     graph: TwoTerminalGraph,
     removed: RemovalSet,
-    reduced: Protocol,
+    reduced: StateGraph,
     probmap: EdgeProbabilityMap | None,
 ) -> Poly:
     """Probability that some s,r-path using a removed instruction survives
-    while the reduced protocol admits no surviving walk.  Every other
-    surviving path is a walk of the reduced protocol, so this is exactly
-    the reliability the removal loses.  Every CFP instruction lies on an
-    s,r-path, so only the empty removal has none, and builds no table."""
+    while the reduced protocol (given by its state graph) admits no
+    surviving walk.  Every other surviving path is a walk of the reduced
+    protocol, so this is exactly the reliability the removal loses.  Every
+    CFP instruction lies on an s,r-path, so only the empty removal has
+    none, and builds no table."""
     used = edge_masks(graph, (p for p in enumerate_sr_paths(graph)
                               if any(i in removed for i in instructions_in(p))))
     if not used:
@@ -98,7 +100,10 @@ def discrepancy(
     probmap: EdgeProbabilityMap | None = None,
     check_event: bool = False,
 ) -> DiscrepancyReport:
-    """Reliability lost by deleting the given instructions from the CFP."""
+    """Reliability lost by deleting the given instructions from the CFP.
+    The reduced protocol's state graph is the CFP's without the removed
+    transitions; no protocol is rebuilt.  The CFP's reliability is the
+    connectivity counts', and so is what an empty removal keeps."""
     check_scan_guard(graph.m)
     astar = cfp(graph)
     removal = frozenset(Instruction(*i) for i in removed)
@@ -106,16 +111,19 @@ def discrepancy(
     if bad:
         worst = "".join(sorted(bad)[0])
         raise InstructionError(f"{worst} is not a CFP instruction", code="not-in-cfp")
-    base = rho_A(astar, probmap)
-    reduced = astar.minus(removal)
-    d = base - rho_A(reduced, probmap)
+    base = rho(graph, probmap)
+    sg = StateGraph(astar)
+    index = {st: i for i, st in enumerate(sg.states)}
+    reduced = sg.without((index[(u, v)], index[(v, w)]) for u, v, w in removal)
+    kept = polynomial_from_table(graph, probmap, admits_table(reduced)) if removal else base
+    d = base - kept
     if check_event:
         event = _removal_event_polynomial(graph, removal, reduced, probmap)
         if event != d:
             raise AssertionError(
                 f"event probability {event!r} differs from discrepancy {d!r}"
             )
-    return DiscrepancyReport(removal, d, is_finite(reduced))
+    return DiscrepancyReport(removal, d, reduced.order is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +131,17 @@ def discrepancy(
 # ---------------------------------------------------------------------------
 
 class _RemovalSpace:
-    """The CFP's state graph, built once, with its circuit-borne
-    transitions numbered in the order of their instructions: bit k of a
-    removal mask removes the k-th.  Removing a set clears its transitions
-    from the successor and predecessor masks; no protocol or state graph is
-    rebuilt."""
+    """The CFP's state graph ``state_graph``, built once, with its
+    circuit-borne transitions numbered in the order of their instructions:
+    bit k of a removal mask removes the k-th.  The finiteness test clears a
+    set's transitions from the successor and predecessor masks; no
+    protocol or state graph is rebuilt.  A set's own state graph, for its
+    walk table, is derived from ``state_graph``."""
 
-    __slots__ = ("succ", "pred", "circuit", "start", "accepting", "moves", "instructions")
+    __slots__ = ("state_graph", "succ", "pred", "circuit", "start", "accepting", "moves", "instructions")
 
     def __init__(self, graph: TwoTerminalGraph):
-        sg = StateGraph(cfp(graph))
+        self.state_graph = sg = StateGraph(cfp(graph))
         by_instruction = sorted((sg.instruction_of(i, j), i, j) for i, j in sg.circuit_transitions())
         self.succ = sg.succ
         self.pred = _predecessors(sg.succ)
@@ -166,24 +175,26 @@ class _RemovalSpace:
         _, circuit, useful = self._without(removed)
         return topological_order(_essential(circuit, useful)) is not None
 
-    def essential_mask(self, removal: RemovalSet) -> int:
-        """The essential transitions of the CFP without ``removal``, as one
-        int: bit i * n + j stands for the transition from state i to j."""
-        succ, _, useful = self._without(sum(1 << self.instructions.index(ins) for ins in removal))
-        width = len(succ)
-        return sum(mask << i * width for i, mask in enumerate(_essential(succ, useful)))
+    def reduced(self, removed: int) -> StateGraph:
+        """The state graph of the CFP without the removed transitions."""
+        return self.state_graph.without(self.moves[k] for k in _bits(removed))
 
-    def minimal_removals(self) -> list[RemovalSet]:
-        """All inclusion-minimal removal sets leaving the CFP finite, sorted,
-        by a levelwise search (Mannila & Toivonen 1997): a k-set is tested
-        only when each of its (k-1)-subsets was tested and left the CFP
-        infinite.  Those are exactly the k-sets containing no set found
-        before, so the tests are those of trying every combination in turn
-        and skipping the ones that contain a found set.  Refused past
-        ``MAX_REMOVAL_TESTS`` tests."""
+    def removal(self, removed: int) -> RemovalSet:
+        """The instructions of a removal mask."""
+        return frozenset(self.instructions[k] for k in _bits(removed))
+
+    def minimal_removals(self) -> list[int]:
+        """All inclusion-minimal removal masks leaving the CFP finite, in
+        the order of their sorted instruction sets, by a levelwise search
+        (Mannila & Toivonen 1997): a k-set is tested only when each of its
+        (k-1)-subsets was tested and left the CFP infinite.  Those are
+        exactly the k-sets containing no set found before, so the tests are
+        those of trying every combination in turn and skipping the ones
+        that contain a found set.  Refused past ``MAX_REMOVAL_TESTS``
+        tests."""
         if self.is_finite(0):
-            return [frozenset()]
-        found: list[RemovalSet] = []
+            return [0]
+        found: list[int] = []
         tests = 0
         level = [1 << k for k in range(len(self.moves))]
         while level:
@@ -193,11 +204,13 @@ class _RemovalSpace:
                 if tests > MAX_REMOVAL_TESTS:
                     raise GuardExceededError(f"removal search exceeded {MAX_REMOVAL_TESTS} finiteness tests")
                 if self.is_finite(removed):
-                    found.append(frozenset(self.instructions[k] for k in _bits(removed)))
+                    found.append(removed)
                 else:
                     still_open.append(removed)
             level = _next_level(still_open)
-        return sorted(found, key=_removal_sort_key)
+        # the instructions are numbered in sorted order, so the sorted bit
+        # positions order the masks as their sorted instructions would
+        return sorted(found, key=_bits)
 
 
 def _next_level(level: list[int]) -> list[int]:
@@ -263,7 +276,8 @@ def minimal_removal_sets(graph: TwoTerminalGraph) -> list[RemovalSet]:
     """Minimal circuit-borne removal sets making the CFP finite, sorted.
     Removing every circuit-borne instruction always succeeds, so the family
     is nonempty; for a finite CFP it is the single empty set."""
-    return _RemovalSpace(graph).minimal_removals()
+    space = _RemovalSpace(graph)
+    return [space.removal(removed) for removed in space.minimal_removals()]
 
 
 # ---------------------------------------------------------------------------
@@ -285,24 +299,32 @@ def candidate_polynomials(
     (0,1), can neither win the pointwise maximum nor lie on the upper
     envelope, and is dropped before any polynomial is assembled.
 
-    A removal set whose protocol's essential transitions all are essential
-    for an earlier set's protocol builds no table: every walk of the one is
+    Each removal set's state graph is the CFP's without its transitions;
+    no protocol is rebuilt.  A set whose essential transitions all are
+    essential for an earlier set builds no table: every walk of the one is
     a walk of the other, so its counts equal the earlier ones (whose
-    witness is kept) or are dominated by them."""
+    witness is kept) or are dominated by them.  The empty removal, the one
+    candidate of a finite CFP, keeps every walk: its counts are the
+    connectivity counts, and it builds no table either."""
     check_scan_guard(graph.m)
-    astar = cfp(graph)
     space = _RemovalSpace(graph)
+    width = len(space.state_graph.states)
     tabled: list[int] = []
     # Removal sets arrive sorted, so the first one kept is the least.
     by_counts: dict[tuple[int, ...], tuple[RemovalSet, list[list[int]]]] = {}
-    for removal in space.minimal_removals():
-        essential = space.essential_mask(removal)
-        # a set subsumed by a skipped set is subsumed by a tabled one
-        if any(not essential & ~earlier for earlier in tabled):
-            continue
-        tabled.append(essential)
-        counts = walk_counts(astar.minus(removal), probmap)
-        by_counts.setdefault(tuple(itertools.chain.from_iterable(counts)), (removal, counts))
+    for removed in space.minimal_removals():
+        if removed:
+            sg = space.reduced(removed)
+            # bit i * width + j stands for the essential transition i -> j
+            essential = sum(mask << i * width for i, mask in enumerate(sg.essential))
+            # a set subsumed by a skipped set is subsumed by a tabled one
+            if any(not essential & ~earlier for earlier in tabled):
+                continue
+            tabled.append(essential)
+            counts = subset_counts(graph, probmap, admits_table(sg))
+        else:
+            counts = connectivity_counts(graph, probmap)
+        by_counts.setdefault(tuple(itertools.chain.from_iterable(counts)), (space.removal(removed), counts))
     best: dict[Poly, RemovalSet] = {}
     for vector, (removal, counts) in by_counts.items():
         if any(other != vector and all(a <= b for a, b in zip(vector, other)) for other in by_counts):

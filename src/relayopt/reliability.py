@@ -124,12 +124,14 @@ def _packed(flags: bytearray) -> int:
     return int.from_bytes(b"".join(parts), "little")
 
 
-def admits_table(protocol: Protocol) -> int:
-    """Indicator of subsets admitting a protocol walk, by the per-subset
-    walk search.  The library asks for no protocol that contains the CFP:
-    ``walk_counts`` counts its walks as connectivity."""
-    check_scan_guard(protocol.graph.m)
-    return _packed(monotone_table(protocol.graph.m, StateGraph(protocol).admission_test()))
+def admits_table(sg: StateGraph) -> int:
+    """Indicator of subsets admitting a walk of the protocol whose state
+    graph is ``sg``, by the per-subset walk search over it.  The caller
+    builds the graph, or derives it from the CFP's (``StateGraph.without``)
+    for a removal set.  The library asks for no protocol that contains the
+    CFP: ``walk_counts`` counts its walks as connectivity."""
+    check_scan_guard(sg.graph.m)
+    return _packed(monotone_table(sg.graph.m, sg.admission_test()))
 
 
 def subset_admits_walk(protocol: Protocol, subset: Iterable[tuple[str, str]]) -> bool:
@@ -501,7 +503,7 @@ def walk_counts(protocol: Protocol, probmap: EdgeProbabilityMap | None) -> list[
     check_scan_guard(graph.m)
     if contains_cfp(protocol):
         return connectivity_counts(graph, probmap)
-    return subset_counts(graph, probmap, admits_table(protocol))
+    return subset_counts(graph, probmap, admits_table(StateGraph(protocol)))
 
 
 def path_counts(protocol: Protocol, probmap: EdgeProbabilityMap | None) -> list[list[int]]:

@@ -20,6 +20,7 @@ from relayopt import (
     walk_spectrum,
 )
 from relayopt.constructions import parallel, path_graph, realize
+from relayopt.engine import StateGraph
 from relayopt.optimizer import circuit_instructions
 from relayopt.polys import Poly
 from relayopt.reliability import admits_table, connectivity_table, failure_levels, spectrum_from_table
@@ -173,7 +174,7 @@ def robustness_from_tables(protocol: Protocol) -> int:
     """m - max{|S| : S connects s,r and admits no walk} - 1, from the full
     connectivity and walk tables."""
     m = protocol.graph.m
-    missed = connectivity_table(protocol.graph) & ~admits_table(protocol)
+    missed = connectivity_table(protocol.graph) & ~admits_table(StateGraph(protocol))
     if not missed:
         return m
     return m - max(i for i, count in enumerate(spectrum_from_table(m, missed)) if count) - 1

@@ -24,6 +24,7 @@ from relayopt import (
     connectivity_counts,
     discrepancy,
     engine,
+    optimizer,
     path_spectrum,
     reliability,
     rho,
@@ -246,7 +247,9 @@ def test_protocols_containing_the_cfp_build_no_table(monkeypatch):
     spectrum = spectrum_from_table(g.m, connectivity_table(g))
     routes = TwoTerminalGraph(["s", "a", "b", "r"], [("s", "a"), ("a", "r"), ("s", "b"), ("b", "r")], "s", "r")
     monkeypatch.setattr(reliability, "connectivity_table", boom)
-    monkeypatch.setattr(reliability, "admits_table", boom)
+    # candidates and discrepancies build their walk tables at this binding
+    for module in (reliability, optimizer):
+        monkeypatch.setattr(module, "admits_table", boom)
     assert rho_A(protocol) == expected
     assert walk_spectrum(protocol) == spectrum
     assert discrepancy(g, []).polynomial == Poly.zero()

@@ -7,6 +7,7 @@ from relayopt import (
     EdgeProbabilityMap,
     GuardExceededError,
     InstructionError,
+    Protocol,
     RelayoptError,
     TwoTerminalGraph,
     breakpoint_free_check,
@@ -28,7 +29,7 @@ from relayopt import (
 from relayopt import optimizer, reliability
 from relayopt.cli import _piecewise_json
 from relayopt.constructions import build_breakpoint_graph, parallel, path_graph, realize
-from relayopt.engine import StateGraph, _bits, contains_cfp, essential_instructions
+from relayopt.engine import StateGraph, _bits, essential_instructions
 from relayopt.optimizer import _minimal_removal_family, _upper_envelope
 from relayopt.polys import Poly
 from relayopt.reliability import admits_table
@@ -84,10 +85,16 @@ def test_discrepancy_event_identity_more_sets(b0_graph):
 def test_discrepancy_event_identity_random_graphs(monkeypatch):
     """The removal event equals the discrepancy for random removal sets,
     whether or not the reduced protocol is finite, and for the empty one.
-    No walk table is built for a protocol that contains the CFP."""
-    def walk_table(protocol):
-        assert not contains_cfp(protocol)
-        return admits_table(protocol)
+    No walk table is built for a protocol that contains the CFP: a
+    nonempty removal builds two, one for what the reduced protocol keeps
+    and one for the event, and the empty removal none."""
+    tables = []
+
+    def walk_table(sg):
+        kept = {sg.instruction_of(i, j) for i, mask in enumerate(sg.succ) for j in _bits(mask)}
+        assert not kept >= cfp(sg.graph).instructions
+        tables.append(sg)
+        return admits_table(sg)
 
     monkeypatch.setattr(optimizer, "admits_table", walk_table)
     monkeypatch.setattr(reliability, "admits_table", walk_table)
@@ -99,8 +106,11 @@ def test_discrepancy_event_identity_random_graphs(monkeypatch):
         if not instructions:
             continue
         removal = rng.sample(instructions, min(rng.randint(1, 3), len(instructions)))
+        tables.clear()
         discrepancy(graph, removal, check_event=True)
+        assert len(tables) == 2
         assert discrepancy(graph, [], check_event=True).polynomial == Poly.zero()
+        assert len(tables) == 2
         checked += 1
 
 
@@ -165,26 +175,38 @@ KNOT_EDGES = [("e", "h"), ("e", "l"), ("e", "w"), ("e", "z"), ("h", "u"), ("h", 
               ("o", "u"), ("o", "w"), ("u", "y"), ("u", "z"), ("w", "z"), ("y", "z")]
 
 
+def _same_state_graph(derived, built):
+    for field in StateGraph.__slots__:
+        assert getattr(derived, field) == getattr(built, field), field
+
+
 def test_masked_finiteness_and_essential_transitions_match_rebuilt_protocols(b0_graph):
     """For random removal masks, not only those the search meets, the
     masked verdict equals ``is_finite`` of the rebuilt protocol, and the
-    essential transitions the prune compares are the rebuilt protocol's
-    essential instructions."""
+    state graph derived from the CFP's, whose essential transitions the
+    prune compares, is the rebuilt protocol's field by field: its
+    essential transitions are the rebuilt protocol's essential
+    instructions, and it builds the same walk table."""
     rng = random.Random(2718)
     knot = TwoTerminalGraph({v for e in KNOT_EDGES for v in e}, KNOT_EDGES, "h", "l")
     for graph in (relabeled(b0_graph, rng), grid(3, 3), knot):
         space = optimizer._RemovalSpace(graph)
         astar = cfp(graph)
-        sg = StateGraph(astar)
-        width = len(sg.states)
+        cfp_sg = space.state_graph
+        _same_state_graph(cfp_sg, StateGraph(astar))
         for trial in range(2000):
             mask = rng.getrandbits(len(space.instructions))
             removal = frozenset(ins for k, ins in enumerate(space.instructions) if mask >> k & 1)
-            assert space.is_finite(mask) == is_finite(astar.minus(removal))
+            rebuilt = astar.minus(removal)
+            assert space.is_finite(mask) == is_finite(rebuilt)
+            derived = cfp_sg.without(space.moves[k] for k in _bits(mask))
+            built = StateGraph(rebuilt)
+            _same_state_graph(derived, built)
             if trial % 10 == 0:
-                essential = space.essential_mask(removal)
-                decoded = {sg.instruction_of(*divmod(bit, width)) for bit in _bits(essential)}
-                assert decoded == essential_instructions(astar.minus(removal))
+                decoded = {derived.instruction_of(i, j) for i, arcs in enumerate(derived.arcs) for j in arcs}
+                assert decoded == essential_instructions(rebuilt)
+            if trial % 100 == 0:
+                assert admits_table(derived) == admits_table(built)
 
 
 # -- rho hat ---------------------------------------------------------------------------
@@ -373,11 +395,11 @@ def test_pruning_differential_relabeled_inputs(b0_graph, monkeypatch):
     relabeled b0 those build no table, and every output stays the same."""
     built = []
 
-    def counted(protocol):
-        built.append(protocol)
-        return admits_table(protocol)
+    def counted(sg):
+        built.append(sg)
+        return admits_table(sg)
 
-    monkeypatch.setattr(reliability, "admits_table", counted)  # called by ``walk_counts``
+    monkeypatch.setattr(optimizer, "admits_table", counted)  # the binding candidates call
     rng = random.Random(1997)
     # one renaming of b0: the oracle's removal family is cached per CFP
     graph = relabeled(b0_graph, rng)
@@ -393,6 +415,7 @@ def test_pruning_differential_relabeled_inputs(b0_graph, monkeypatch):
     for g, probmap in cases:
         built.clear()
         candidate_polynomials(g, probmap)
+        assert built  # every case has circuits, so its first set is tabled
         pruned.append(len(built) < len(minimal_removal_sets(g)))
         _check_pruning_changes_nothing(g, probmap)
     assert all(pruned)
@@ -410,6 +433,43 @@ def test_candidate_polynomials_respect_removal_guard(b0_graph, monkeypatch):
     monkeypatch.setattr(optimizer, "MAX_REMOVAL_TESTS", 5)
     with pytest.raises(GuardExceededError):
         candidate_polynomials(b0_graph)
+
+
+def test_candidates_and_discrepancies_rebuild_no_protocol_per_removal(b0_graph, monkeypatch):
+    """Every removal set's state graph is derived from the CFP's: one
+    ``StateGraph`` is built from a protocol per call, the CFP's, and no
+    protocol is rebuilt with ``Protocol.minus``.  The walk tables are those
+    the protocol per set built: one per tabled candidate (on b0, whichever
+    edges are overridden, every set is tabled), two per nonempty removal
+    with its event checked, and none for the empty removal or the one
+    candidate of a finite CFP.  The knot's removal search passes its
+    guard, so it takes discrepancies only."""
+    knot = TwoTerminalGraph({v for e in KNOT_EDGES for v in e}, KNOT_EDGES, "h", "l")
+    overrides = EdgeProbabilityMap.with_overrides(b0_graph, {("s", "1"): X * X, ("3", "4"): 2 * X - X * X})
+    routes = realize(parallel(path_graph(3), path_graph(4)))
+    expected = {(g, pm): candidate_polynomials(g, pm) for g, pm in ((b0_graph, overrides), (routes, None))}
+    removals = {g: [(), circuit_instructions(g)[:1], circuit_instructions(g)[-2:], sorted(cfp(g).instructions)[:3]]
+                for g in (b0_graph, knot)}
+    events = {(g, tuple(r)): discrepancy(g, r, pm, check_event=True)
+              for g, pm in ((b0_graph, overrides), (knot, None)) for r in removals[g]}
+    built, minus, tables = [], [], []
+    real_init, real_minus = StateGraph.__init__, Protocol.minus
+    monkeypatch.setattr(StateGraph, "__init__", lambda sg, protocol: built.append(protocol) or real_init(sg, protocol))
+    monkeypatch.setattr(Protocol, "minus", lambda protocol, removed: minus.append(protocol) or real_minus(protocol, removed))
+    monkeypatch.setattr(optimizer, "admits_table", lambda sg: tables.append(sg) or admits_table(sg))
+    for (g, pm), candidates in expected.items():
+        built.clear()
+        tables.clear()
+        assert candidate_polynomials(g, pm) == candidates
+        assert built == [cfp(g)]
+        assert len(tables) == (6 if g is b0_graph else 0)
+    for (g, removal), report in events.items():
+        built.clear()
+        tables.clear()
+        assert discrepancy(g, removal, overrides if g is b0_graph else None, check_event=True) == report
+        assert built == [cfp(g)]
+        assert len(tables) == (2 if removal else 0)
+    assert not minus
 
 
 def test_candidate_polynomials_build_one_removal_space(b0_graph, monkeypatch):

@@ -23,6 +23,7 @@ from relayopt import (
 from relayopt import reliability
 from relayopt.asymptotics import cut_census
 from relayopt.constructions import path_graph, realize
+from relayopt.engine import StateGraph
 from relayopt.errors import GuardExceededError
 from relayopt.optimizer import candidate_polynomials
 from relayopt.polys import Poly
@@ -242,7 +243,7 @@ def test_probmap_substitution(b0_graph, b0_cfp):
 def test_scan_guard(monkeypatch):
     chain = realize(path_graph(reliability.MAX_SCAN_EDGES + 2))
     assert chain.m == reliability.MAX_SCAN_EDGES + 1
-    for scan in (rho, lambda g: rho_A(cfp(g)), lambda g: admits_table(cfp(g)), connectivity_table,
+    for scan in (rho, lambda g: rho_A(cfp(g)), lambda g: admits_table(StateGraph(cfp(g))), connectivity_table,
                  candidate_polynomials, cut_census):
         with pytest.raises(GuardExceededError):
             scan(chain)

@@ -123,7 +123,7 @@ def test_tables_match_per_subset_oracles(m):
         for protocol in random_protocols(rng, graph):
             masks = path_oracle_masks(protocol)
             assert path_table(protocol) == table_of(m, lambda S: any(mask & ~S == 0 for mask in masks))
-            walks = admits_table(protocol)
+            walks = admits_table(StateGraph(protocol))
             assert walks == table_of(m, lambda S: subset_admits_walk(protocol, subset_edges(graph, S)))
             assert walks & ~conn == 0  # every admitting subset connects s and r
             assert spectrum_from_table(m, walks) == spectrum_oracle(m, walks)
@@ -148,7 +148,7 @@ def test_state_graph_sweep_over_all_subsets_is_the_walk_table():
             for protocol in random_protocols(rng, graph) + [Protocol(graph, [])]:
                 sg = StateGraph(protocol)
                 infinite += sg.order is None
-                table = admits_table(protocol)
+                table = admits_table(sg)
                 assert sg.delivered(columns) == table
                 assert table_of(m, sg.admission_test()) == table
     assert infinite >= 10
@@ -235,7 +235,7 @@ def test_walk_tables_of_protocols_containing_the_cfp_match_oracles():
     for graph in graphs:
         m = graph.m
         for protocol in cfp_supersets(rng, graph):
-            assert admits_table(protocol) == table_of(m, lambda S: subset_admits_walk(protocol, subset_edges(graph, S)))
+            assert admits_table(StateGraph(protocol)) == table_of(m, lambda S: subset_admits_walk(protocol, subset_edges(graph, S)))
             if m <= 9:  # the polynomial oracle multiplies m polynomials per subset
                 probmap, _ = with_overrides(rng, graph, rng.randint(0, min(m, 3)))
                 assert rho_A(protocol, probmap) == reliability_oracle(protocol, probmap)
@@ -252,7 +252,7 @@ def test_only_protocols_containing_the_cfp_skip_the_walk_search(monkeypatch):
     searched, tables = [], []
     real_search, real_table = reliability.monotone_table, reliability.admits_table
     monkeypatch.setattr(reliability, "monotone_table", lambda m, test: searched.append(m) or real_search(m, test))
-    monkeypatch.setattr(reliability, "admits_table", lambda protocol: tables.append(real_table(protocol)) or tables[-1])
+    monkeypatch.setattr(reliability, "admits_table", lambda sg: tables.append(real_table(sg)) or tables[-1])
     monkeypatch.setattr(reliability, "connectivity_table", no_table)
     rng = random.Random(31)
     for graph in (random_graph(rng, 9), adjacent_graph(rng, 8), grid(2, 3)):
