@@ -283,15 +283,24 @@ class StateGraph:
         some protocol walk survives, given each edge's survival column."""
         return _sweep(self.arcs, [columns[e] for e in self.edge], self.initial, _bits(self.accepting))
 
+    def relevant_edges(self) -> list[int]:
+        """Canonical indices, ascending, of the edges under useful states:
+        the only edges a protocol walk that reaches r can use."""
+        return sorted({self.edge[i] for i in _bits(self.useful)})
+
     def admission_test(self) -> Callable[[int], bool]:
-        """The test of whether one edge subset (bit e for the e-th edge)
-        admits a protocol walk: a depth-first search over the states whose
-        edges it holds, stopping at the first accepting state it pushes.
-        The edge bits are taken once, for the 2^m calls of a walk table."""
-        ebit = [1 << e for e in self.edge]
+        """The test of whether one subset of the relevant edges (bit t for
+        the t-th of ``relevant_edges``) admits a protocol walk: a
+        depth-first search over the useful states whose edges it holds,
+        stopping at the first accepting state it pushes.  The edge bits are
+        taken once, for the 2^k calls of a walk table over k relevant
+        edges; initial states that are not useful are skipped, as no walk
+        from them reaches r."""
+        position = {e: 1 << t for t, e in enumerate(self.relevant_edges())}
+        ebit = [position.get(e, 0) for e in self.edge]
         arcs = self.arcs
         acc = self.accepting
-        initial = self.initial
+        initial = [i for i in self.initial if self.useful >> i & 1]
 
         def test(S: int) -> bool:
             seen = 0

@@ -77,21 +77,21 @@ class DiscrepancyReport:
 def _removal_event_polynomial(
     graph: TwoTerminalGraph,
     removed: RemovalSet,
-    reduced: StateGraph,
+    kept_table: int | None,
     probmap: EdgeProbabilityMap | None,
 ) -> Poly:
     """Probability that some s,r-path using a removed instruction survives
-    while the reduced protocol (given by its state graph) admits no
-    surviving walk.  Every other surviving path is a walk of the reduced
+    while the reduced protocol admits no surviving walk (``kept_table`` is
+    its walk table).  Every other surviving path is a walk of the reduced
     protocol, so this is exactly the reliability the removal loses.  Every
     CFP instruction lies on an s,r-path, so only the empty removal has
-    none, and builds no table."""
+    none, and its ``kept_table`` (None) is not read."""
     used = edge_masks(graph, (p for p in enumerate_sr_paths(graph)
                               if any(i in removed for i in instructions_in(p))))
     if not used:
         return Poly.zero()
     used_table = _superset_table(graph.m, used)
-    return polynomial_from_table(graph, probmap, used_table & ~admits_table(reduced))
+    return polynomial_from_table(graph, probmap, used_table & ~kept_table)
 
 
 def discrepancy(
@@ -115,10 +115,13 @@ def discrepancy(
     sg = StateGraph(astar)
     index = {st: i for i, st in enumerate(sg.states)}
     reduced = sg.without((index[(u, v)], index[(v, w)]) for u, v, w in removal)
-    kept = polynomial_from_table(graph, probmap, admits_table(reduced)) if removal else base
-    d = base - kept
+    if removal:
+        kept_table = admits_table(reduced)
+        d = base - polynomial_from_table(graph, probmap, kept_table)
+    else:  # the CFP keeps all of ``base``, and has no walk table
+        kept_table, d = None, Poly.zero()
     if check_event:
-        event = _removal_event_polynomial(graph, removal, reduced, probmap)
+        event = _removal_event_polynomial(graph, removal, kept_table, probmap)
         if event != d:
             raise AssertionError(
                 f"event probability {event!r} differs from discrepancy {d!r}"

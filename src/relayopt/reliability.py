@@ -18,10 +18,13 @@ all subsets at once.
   set's columns; only the columns of edges on some path are built.
   ``path_counts`` builds it only for protocols that do not contain the
   CFP.
-- Walks: admission is monotone in the subset, so ``monotone_table`` runs
-  a state-graph search only on lattice-minimal candidates and on
-  non-admitting sets, one subset at a time; its byte per subset is packed
-  into the int table once.
+- Walks: only the k edges under the state graph's useful states can
+  carry a walk, and admission is monotone in the subset, so
+  ``monotone_table`` runs the state-graph search over the 2^k subsets of
+  those edges alone, one subset at a time, and only on subsets none of
+  whose one-smaller subsets admits.  The minimal admitting subsets it
+  finds, lifted to canonical edge positions, give the table as their
+  superset closure, built like the path table.
 
 Counts come from popcounts: the table ANDed with weight-layer masks gives
 the admitted subsets of each size, and overridden edges are first moved
@@ -61,8 +64,6 @@ MAX_SCAN_EDGES = 24
 MAX_SPECIAL_EDGES = 16
 MAX_IE_PATHS = 20
 _LEAF_BITS = 12  # subsets counted per leaf: 2^12 table bits, 512 bytes
-_PACK_BYTES = 1 << 16  # walk-table flags packed at a time
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def check_scan_guard(m: int) -> None:
@@ -94,44 +95,41 @@ def _column(m: int, e: int) -> int:
     return column if m >= 3 else column & _full(m)
 
 
-def monotone_table(m: int, test: Callable[[int], bool]) -> bytearray:
-    """Indicator table of a monotone subset property over all 2^m subsets."""
-    table = bytearray(1 << m)
-    for S in range(1 << m):
-        ok = 0
+def monotone_table(k: int, test: Callable[[int], bool]) -> list[int]:
+    """The minimal subsets, ascending, of a monotone property over all 2^k
+    subsets of k bits.  Subsets are visited in increasing order, so each
+    one-smaller subset is decided first; ``test`` runs only on a subset
+    none of them has, and then it succeeds exactly on a minimal one."""
+    table = bytearray(1 << k)
+    minimal = []
+    for S in range(1 << k):
         rest = S
         while rest:
             low = rest & -rest
             if table[S ^ low]:
-                ok = 1
+                table[S] = 1
                 break
             rest ^= low
-        if not ok and test(S):
-            ok = 1
-        table[S] = ok
-    return table
-
-
-def _packed(flags: bytearray) -> int:
-    """The table whose bit S is ``flags[S]`` (0 or 1), packed
-    ``_PACK_BYTES`` flags at a time: each run is read as binary digits,
-    most significant (the last subset) first."""
-    parts = []
-    for at in range(0, len(flags), _PACK_BYTES):
-        digits = flags[at:at + _PACK_BYTES].translate(_DIGITS)
-        digits.reverse()
-        parts.append(int(digits, 2).to_bytes((len(digits) + 7) // 8, "little"))
-    return int.from_bytes(b"".join(parts), "little")
+        else:
+            if test(S):
+                table[S] = 1
+                minimal.append(S)
+    return minimal
 
 
 def admits_table(sg: StateGraph) -> int:
     """Indicator of subsets admitting a walk of the protocol whose state
-    graph is ``sg``, by the per-subset walk search over it.  The caller
+    graph is ``sg``.  Only the k edges under useful states can carry a walk
+    that reaches r, so the per-subset walk search runs over their 2^k
+    subsets alone; its minimal admitting subsets, lifted to canonical edge
+    positions, give the table as their superset closure.  The caller
     builds the graph, or derives it from the CFP's (``StateGraph.without``)
     for a removal set.  The library asks for no protocol that contains the
     CFP: ``walk_counts`` counts its walks as connectivity."""
     check_scan_guard(sg.graph.m)
-    return _packed(monotone_table(sg.graph.m, sg.admission_test()))
+    relevant = sg.relevant_edges()
+    minimal = monotone_table(len(relevant), sg.admission_test())
+    return _superset_table(sg.graph.m, (sum(1 << relevant[t] for t in _bits(S)) for S in minimal))
 
 
 def subset_admits_walk(protocol: Protocol, subset: Iterable[tuple[str, str]]) -> bool:

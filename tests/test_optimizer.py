@@ -86,8 +86,8 @@ def test_discrepancy_event_identity_random_graphs(monkeypatch):
     """The removal event equals the discrepancy for random removal sets,
     whether or not the reduced protocol is finite, and for the empty one.
     No walk table is built for a protocol that contains the CFP: a
-    nonempty removal builds two, one for what the reduced protocol keeps
-    and one for the event, and the empty removal none."""
+    nonempty removal builds one, for what the reduced protocol keeps, which
+    the event check reads too, and the empty removal none."""
     tables = []
 
     def walk_table(sg):
@@ -108,9 +108,9 @@ def test_discrepancy_event_identity_random_graphs(monkeypatch):
         removal = rng.sample(instructions, min(rng.randint(1, 3), len(instructions)))
         tables.clear()
         discrepancy(graph, removal, check_event=True)
-        assert len(tables) == 2
+        assert len(tables) == 1
         assert discrepancy(graph, [], check_event=True).polynomial == Poly.zero()
-        assert len(tables) == 2
+        assert len(tables) == 1
         checked += 1
 
 
@@ -440,8 +440,9 @@ def test_candidates_and_discrepancies_rebuild_no_protocol_per_removal(b0_graph, 
     ``StateGraph`` is built from a protocol per call, the CFP's, and no
     protocol is rebuilt with ``Protocol.minus``.  The walk tables are those
     the protocol per set built: one per tabled candidate (on b0, whichever
-    edges are overridden, every set is tabled), two per nonempty removal
-    with its event checked, and none for the empty removal or the one
+    edges are overridden, every set is tabled), one per nonempty removal
+    with its event checked (the check reads the table the discrepancy
+    built), and none for the empty removal or the one
     candidate of a finite CFP.  The knot's removal search passes its
     guard, so it takes discrepancies only."""
     knot = TwoTerminalGraph({v for e in KNOT_EDGES for v in e}, KNOT_EDGES, "h", "l")
@@ -468,7 +469,7 @@ def test_candidates_and_discrepancies_rebuild_no_protocol_per_removal(b0_graph, 
         tables.clear()
         assert discrepancy(g, removal, overrides if g is b0_graph else None, check_event=True) == report
         assert built == [cfp(g)]
-        assert len(tables) == (2 if removal else 0)
+        assert len(tables) == (1 if removal else 0)
     assert not minus
 
 

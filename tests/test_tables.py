@@ -17,6 +17,7 @@ from relayopt import (
     Protocol,
     TwoTerminalGraph,
     a_paths,
+    bounded_protocol,
     cfp,
     is_finite,
     subset_admits_walk,
@@ -74,6 +75,38 @@ def path_oracle_masks(protocol: Protocol) -> list[int]:
 
 def table_of(m: int, admitted) -> int:
     return sum(1 << S for S in range(1 << m) if admitted(S))
+
+
+def relevant_edges_oracle(protocol: Protocol) -> list[int]:
+    """Canonical indices of the edges under the pairs (u, v) that some
+    instruction chain from a pair (s, x) reaches and that some chain leads
+    from to a pair (y, r): a search over the instructions themselves."""
+    graph = protocol.graph
+    forward: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    backward: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for u, v, w in protocol.instructions:
+        forward.setdefault((u, v), []).append((v, w))
+        backward.setdefault((v, w), []).append((u, v))
+
+    def closure(start, step):
+        seen, todo = set(start), list(start)
+        while todo:
+            for nxt in step.get(todo.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    reached = closure([(graph.s, x) for x in graph.neighbors(graph.s)], forward)
+    reaching = closure([(y, graph.r) for y in graph.neighbors(graph.r)], backward)
+    index = {e: i for i, e in enumerate(graph.edge_list())}
+    return sorted({index[edge_key(u, v)] for u, v in reached & reaching})
+
+
+def projected(relevant: list[int], S: int) -> int:
+    """The subset S of all edges as a subset of the relevant ones: bit t
+    for the t-th of ``relevant``."""
+    return sum(1 << t for t, e in enumerate(relevant) if S >> e & 1)
 
 
 def counts_oracle(m: int, spos: list[int], table: int) -> list[list[int]]:
@@ -136,9 +169,10 @@ def test_tables_match_per_subset_oracles(m):
 
 def test_state_graph_sweep_over_all_subsets_is_the_walk_table():
     """The state graph's two kernels agree.  Its bit-sliced sweep over the
-    all-subset columns, its per-subset admission test run on every subset,
-    and ``admits_table`` give one table, on infinite protocols and the
-    empty one too."""
+    all-subset columns, its per-subset admission test run on every subset
+    (cut to the relevant edges, which the test numbers), and
+    ``admits_table`` give one table, on infinite protocols and the empty
+    one too."""
     rng = random.Random(4242)
     infinite = 0
     for m in range(1, 11):
@@ -150,7 +184,10 @@ def test_state_graph_sweep_over_all_subsets_is_the_walk_table():
                 infinite += sg.order is None
                 table = admits_table(sg)
                 assert sg.delivered(columns) == table
-                assert table_of(m, sg.admission_test()) == table
+                relevant = sg.relevant_edges()
+                assert relevant == relevant_edges_oracle(protocol)
+                test = sg.admission_test()
+                assert table_of(m, lambda S: test(projected(relevant, S))) == table
     assert infinite >= 10
 
 
@@ -245,7 +282,8 @@ def test_only_protocols_containing_the_cfp_skip_the_walk_search(monkeypatch):
     """``walk_counts`` takes the connectivity counts exactly when the
     protocol contains every CFP instruction, and then builds no table:
     removing any one of them, even where the walk table comes out the same,
-    sends the protocol back to the walk search."""
+    sends the protocol back to the walk search, over the subsets of the
+    edges under its useful states."""
     def no_table(graph):
         raise AssertionError("connectivity table built")
 
@@ -266,9 +304,87 @@ def test_only_protocols_containing_the_cfp_skip_the_walk_search(monkeypatch):
             searched.clear()
             tables.clear()
             counts = walk_counts(protocol, None)
-            assert searched == [graph.m] and len(tables) == 1
+            assert searched == [len(relevant_edges_oracle(protocol))] and len(tables) == 1
             assert tables[0] == table_of(graph.m, lambda S: subset_admits_walk(protocol, subset_edges(graph, S)))
             assert counts == subset_counts(graph, None, tables[0])
+
+
+def near_zero_protocol(graph: TwoTerminalGraph) -> Protocol:
+    """The instructions of the s,r-paths at most one edge longer than the
+    shortest, as the near-zero expansion takes them."""
+    return bounded_protocol(graph, graph.distances_from(graph.s)[graph.r] + 1)
+
+
+def two_apart_graph(rng: random.Random, m: int) -> TwoTerminalGraph:
+    """A random graph with exactly m >= 2 edges and r two edges from s."""
+    while True:
+        graph = random_graph(rng, m)
+        if graph.distances_from("s").get("r") == 2:
+            return graph
+
+
+@pytest.mark.parametrize("m", [3, 6, 9, 12])
+def test_walk_tables_with_irrelevant_edges_match_both_oracles(m):
+    """``admits_table`` searches only the subsets of the edges under useful
+    states and lifts the minimal ones, yet it gives the table of the
+    per-subset oracle and of the state graph's sweep over all 2^m subsets.
+    The inputs are the near-zero protocols of graphs with an s-r edge or
+    with r two edges from s, which leave most edges irrelevant, and random
+    CFP subsets, infinite protocols and the empty protocol on them."""
+    rng = random.Random(2600 + m)
+    columns = [reliability._column(m, e) for e in range(m)]
+    cut = 0
+    for _ in range(3):
+        for graph in (adjacent_graph(rng, m), two_apart_graph(rng, m)):
+            for protocol in [near_zero_protocol(graph), *random_protocols(rng, graph), Protocol(graph, [])]:
+                sg = StateGraph(protocol)
+                table = admits_table(sg)
+                assert table == table_of(m, lambda S: subset_admits_walk(protocol, subset_edges(graph, S)))
+                assert table == sg.delivered(columns)
+                cut += len(relevant_edges_oracle(protocol)) < m
+    assert cut >= 12  # the empty protocols alone give 6
+
+
+def test_walk_search_visits_only_the_subsets_of_the_relevant_edges(monkeypatch):
+    """The per-subset search of a walk table runs over the 2^k subsets of
+    the k edges under useful states, in increasing order, and no others.
+    On K3,8 (m = 24) the near-zero protocol from a0 to b7 is the one edge
+    a0-b7, so the subsets of one edge are searched, and from a0 to a2 it is the eight
+    paths a0-b-a2 (k = 16), whose reliability is 1 - (1 - p^2)^8."""
+    searched = []
+    real_search = reliability.monotone_table
+
+    def spy(k, test):
+        visited = []
+        minimal = real_search(k, lambda S: visited.append(S) or test(S))
+        searched.append((k, visited))
+        return minimal
+
+    monkeypatch.setattr(reliability, "monotone_table", spy)
+    a, b = [f"a{i}" for i in range(3)], [f"b{i}" for i in range(8)]
+    x = Poly.x()
+    rng = random.Random(26)
+    cases = [
+        (TwoTerminalGraph(a + b, [(u, v) for u in a for v in b], "a0", "b7"), x),
+        (TwoTerminalGraph(a + b, [(u, v) for u in a for v in b], "a0", "a2"), 1 - (1 - x * x) ** 8),
+        (adjacent_graph(rng, 14), None),
+        (two_apart_graph(rng, 14), None),
+        (grid(3, 4), None),
+    ]
+    ks = []
+    for graph, expected in cases:
+        protocol = near_zero_protocol(graph)
+        searched.clear()
+        poly = rho_A(protocol)
+        k = len(relevant_edges_oracle(protocol))
+        [(arg, visited)] = searched
+        assert arg == k and len(visited) <= 1 << k
+        assert visited == sorted(visited) and all(S < 1 << k for S in visited)
+        assert expected is None or poly == expected
+        ks.append(k)
+    assert ks[:2] == [1, 16] and all(k < 14 for k in ks[2:4])
+    # every edge of the 3x4 grid is on a shortest or next-shortest path
+    assert ks[4] == grid(3, 4).m
 
 
 def test_superset_tables_build_only_the_columns_of_their_masks(monkeypatch):
