@@ -242,10 +242,12 @@ def _run(args, stdin, stdout) -> None:
         protocol = _load_protocol(args.protocol, graph)
         emit(protocol_json(engine.spfp_reduce(protocol)))
     elif cmd == "reliability":
-        reliability.check_scan_guard(graph.m)  # before any protocol is loaded
         # With no protocol the CFP is meant, whose walk and path reliability
-        # are both rho, from the graph alone: no CFP is built.
+        # are both rho, from the graph alone: no CFP is built, and the DP's
+        # own guard stands in for the subset-scan guard.
         plain = args.protocol is None
+        if not plain:
+            reliability.check_scan_guard(graph.m)  # before the protocol is loaded
         protocol = None if plain else _load_protocol(args.protocol, graph)
         at = None if args.at is None else require_open_unit(parse_rational(args.at))
         if plain:

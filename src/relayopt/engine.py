@@ -288,15 +288,15 @@ class StateGraph:
         the only edges a protocol walk that reaches r can use."""
         return sorted({self.edge[i] for i in _bits(self.useful)})
 
-    def admission_test(self) -> Callable[[int], bool]:
+    def admission_test(self, relevant: Sequence[int]) -> Callable[[int], bool]:
         """The test of whether one subset of the relevant edges (bit t for
-        the t-th of ``relevant_edges``) admits a protocol walk: a
-        depth-first search over the useful states whose edges it holds,
-        stopping at the first accepting state it pushes.  The edge bits are
-        taken once, for the 2^k calls of a walk table over k relevant
-        edges; initial states that are not useful are skipped, as no walk
-        from them reaches r."""
-        position = {e: 1 << t for t, e in enumerate(self.relevant_edges())}
+        the t-th of ``relevant``, as ``relevant_edges`` lists them) admits
+        a protocol walk: a depth-first search over the useful states whose
+        edges it holds, stopping at the first accepting state it pushes.
+        The edge bits are taken once, for the 2^k calls of a walk table over
+        k relevant edges; initial states that are not useful are skipped,
+        as no walk from them reaches r."""
+        position = {e: 1 << t for t, e in enumerate(relevant)}
         ebit = [position.get(e, 0) for e in self.edge]
         arcs = self.arcs
         acc = self.accepting

@@ -341,11 +341,24 @@ def _probability_value_json(poly: Poly):
     return poly.to_strings()
 
 
+_GRAPH_KEYS = ("vertices", "edges", "s", "r", "prob")
+_PROB_KEYS = ("default", "overrides")
+
+
+def _refuse_unknown_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
+    """A key the format does not know is refused, not ignored: a misspelt
+    or misplaced ``prob`` or ``overrides`` would leave every edge at p."""
+    for key in obj:
+        if key not in known:
+            raise FormatError(f"unknown key {key!r} in {where} (known: {', '.join(known)})")
+
+
 def parse_graph(obj) -> tuple[TwoTerminalGraph, EdgeProbabilityMap]:
     """Parse the on-disk graph JSON object; returns the graph and its
     probability map (constant p where unspecified)."""
     if not isinstance(obj, dict):
         raise FormatError("graph JSON must be an object")
+    _refuse_unknown_keys(obj, _GRAPH_KEYS, "graph JSON")
     for key in ("vertices", "edges", "s", "r"):
         if key not in obj:
             raise FormatError(f"graph JSON missing {key!r}")
@@ -360,6 +373,7 @@ def parse_graph(obj) -> tuple[TwoTerminalGraph, EdgeProbabilityMap]:
         return graph, EdgeProbabilityMap.constant_p(graph)
     if not isinstance(prob, dict):
         raise FormatError("prob must be an object")
+    _refuse_unknown_keys(prob, _PROB_KEYS, "prob")
     default = _parse_probability_value(prob.get("default", "p"))
     keymap = {f"{u}-{v}": (u, v) for u, v in graph.edges}
     if len(keymap) != graph.m:

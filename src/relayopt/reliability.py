@@ -1,8 +1,8 @@
 """Exact reliability polynomials: subset tables over all 2^m edge subsets,
 and s,r-connectivity counts by a frontier DP over the edges.
 
-Every exact answer is refused past ``MAX_SCAN_EDGES`` edges.  Most are sums
-over the 2^m edge subsets, read off a table: an int with bit S set iff
+Most exact answers are sums over the 2^m edge subsets, read off a table,
+and are refused past ``MAX_SCAN_EDGES`` edges.  A table is an int with bit S set iff
 subset S is admitted, where bit e of S stands for the e-th edge in
 canonical order.  Tables are built bit-sliced, from the edge columns:
 column e has bit S set iff edge e is in S, so one int operation decides
@@ -36,15 +36,20 @@ in pairs, one overridden edge at a time, by that edge's w and 1 - w.
 The connectivity counts (``rho``, the cut census, and the walk and path
 counts of a protocol that contains the CFP) come from
 ``connectivity_counts`` instead, which builds no 2^m table.  It decides
-every edge, in one BFS order over all components, by the same step: one
-packed count per partition of a narrow frontier of vertices and override
-pattern moves to the partition the edge leaves when it fails and to the
-one it leaves when it survives.  Joined s and r are one more partition,
-the empty one, which every edge leaves as it is.
+every edge by the same step: one packed count per partition of a narrow
+frontier of vertices and override pattern moves to the partition the edge
+leaves when it fails and to the one it leaves when it survives.  Joined s
+and r are one more partition, the empty one, which every edge leaves as it
+is.  The edges are decided in the narrower of two vertex orders, a BFS one
+and a greedy min-frontier one, as a bound on the entries the DP can hold
+tells; past ``MAX_SCAN_EDGES`` edges that bound, not m, is its guard
+(``MAX_DP_CONFIGURATIONS``).
 """
 
 from __future__ import annotations
 
+from functools import cache
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .engine import StateGraph, _bits, _sweep, a_paths, contains_cfp, enumerate_sr_paths
@@ -53,22 +58,36 @@ from .graphs import Edge, EdgeProbabilityMap, Protocol, TwoTerminalGraph, edge_k
 from .polys import Poly, _canonical
 from .roots import _taylor_shift
 
-# The most edges an exact answer takes.  A table or column over 2^m
-# subsets takes 2^m/8 bytes, and the connectivity table's sweep keeps
-# about 3m of them live (the edge columns, and a reach set per vertex and
-# per edge): on a tree with m + 1 vertices its peak RSS rose 168 MiB at
-# m = 24 and 345 MiB at m = 25, past a 256 MiB budget.  That figure is the
-# table's: ``rho`` and the cut census count by the frontier DP, which
-# builds no table, and still keep to this guard.
+# The most edges a table over 2^m subsets, a path enumeration or a
+# failure-level search takes.  A table or column over 2^m subsets takes
+# 2^m/8 bytes, and the connectivity table's sweep keeps about 3m of them
+# live (the edge columns, and a reach set per vertex and per edge): on a
+# tree with m + 1 vertices its peak RSS rose 168 MiB at m = 24 and 345 MiB
+# at m = 25, past a 256 MiB budget.  ``rho`` and the cut census count by the
+# frontier DP, which builds no table and has its own guard below.
 MAX_SCAN_EDGES = 24
+# The most (pattern, configuration) entries the frontier DP may hold,
+# summed over its steps: the bound B of ``connectivity_counts``, checked
+# before its first step on graphs past ``MAX_SCAN_EDGES`` edges.  B is
+# loose for sparse and planar graphs and nearly tight for dense ones, so
+# the cost near the guard is the dense one's.  On a 2-core host (CPython
+# 3.11.7) the 8x8 grid (m = 112, B = 3.7M) took 0.8 s and 38 MiB, K11
+# (B = 2.2M) 7 s and 147 MiB, and K12 less four edges (B = 3.9M) 16 s and
+# 235 MiB, within the 256 MiB budget above.  K12 (B = 13M) is refused.  Up
+# to ``MAX_SCAN_EDGES`` edges the DP always runs, as B takes every override
+# pattern with every partition: with 16 overridden edges the 4x4 grid has
+# B past 4M while the DP holds under 1M entries (0.7 s, 67 MiB).
+MAX_DP_CONFIGURATIONS = 4_000_000
 MAX_SPECIAL_EDGES = 16
 MAX_IE_PATHS = 20
 _LEAF_BITS = 12  # subsets counted per leaf: 2^12 table bits, 512 bytes
 
 
 def check_scan_guard(m: int) -> None:
-    """Refuse an exhaustive scan of 2^m subsets past ``MAX_SCAN_EDGES``;
-    called before any path enumeration the scan needs."""
+    """Refuse a table over 2^m subsets, a path enumeration or a
+    failure-level search past ``MAX_SCAN_EDGES``; called before any path
+    enumeration the work needs.  The frontier DP of ``connectivity_counts``
+    is guarded past ``MAX_SCAN_EDGES`` by its configuration bound instead."""
     if m > MAX_SCAN_EDGES:
         raise GuardExceededError(f"{m} edges exceeds the subset-scan guard of {MAX_SCAN_EDGES}")
 
@@ -128,7 +147,7 @@ def admits_table(sg: StateGraph) -> int:
     CFP: ``walk_counts`` counts its walks as connectivity."""
     check_scan_guard(sg.graph.m)
     relevant = sg.relevant_edges()
-    minimal = monotone_table(len(relevant), sg.admission_test())
+    minimal = monotone_table(len(relevant), sg.admission_test(relevant))
     return _superset_table(sg.graph.m, (sum(1 << relevant[t] for t in _bits(S)) for S in minimal))
 
 
@@ -358,36 +377,11 @@ def subset_counts(
     return _block_counts(table, n_plain, len(spos))
 
 
-def connectivity_counts(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None) -> list[list[int]]:
-    """``subset_counts(graph, probmap, connectivity_table(graph))``: the
-    subsets keeping s and r in one component, counted by a frontier DP over
-    the edges (Carlier & Lucet 1996; Hardy, Lucet & Limnios 2007) instead
-    of a 2^m-bit table.
-
-    One BFS ranks every vertex, the component of s first, and the edges are
-    decided in that order, keyed by their later endpoint.  The frontier is
-    s, r and the vertices with both decided and undecided edges; an edge
-    brings in each endpoint not on it with a fresh label.  A configuration
-    is the partition of the frontier into components of the surviving
-    decided edges: a tuple of labels, 0 for the component of s and 1 for
-    that of r.  Configurations are grouped by the override pattern of the
-    decided edges (bit k for the k-th overridden edge in canonical order),
-    and each carries one packed int, a field of ``width`` > m bits per
-    plain-edge count; no count exceeds 2^m, so no field carries into the
-    next, and a surviving plain edge shifts the int by one field.  A group
-    holds only the patterns that occur, so heavy overrides cost entries,
-    not a dense block of 2^k patterns per configuration.
-
-    Joined s and r are the configuration ``()``, which every edge leaves as
-    it is; the counts are read from it at the end.  A configuration whose
-    label 0 or 1 leaves the frontier can no longer join them: it is dropped."""
-    m = graph.m
-    check_scan_guard(m)
-    spos = _overridden(graph, probmap)
-    edges = graph.edge_list()
-    s, r = graph.s, graph.r
+def _bfs_rank(graph: TwoTerminalGraph) -> dict[str, int]:
+    """Every vertex ranked by one BFS, the component of s first and each
+    other component from its least vertex; the dict lists them by rank."""
     rank: dict[str, int] = {}
-    for root in (s, *sorted(graph.vertices)):
+    for root in (graph.s, *sorted(graph.vertices)):
         if root not in rank:
             rank[root] = len(rank)
             queue = [root]
@@ -396,17 +390,138 @@ def connectivity_counts(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | N
                     if w not in rank:
                         rank[w] = len(rank)
                         queue.append(w)
-    order = sorted((max(rank[u], rank[v]), min(rank[u], rank[v]), e) for e, (u, v) in enumerate(edges))
+    return rank
+
+
+def _greedy_rank(graph: TwoTerminalGraph, bfs: dict[str, int]) -> dict[str, int]:
+    """A min-frontier ranking: s first, then each time the vertex that
+    leaves the fewest placed vertices with an unplaced neighbour, ties going
+    to more edges into the placed set, then to the lower BFS rank.  When no
+    unplaced vertex touches the placed set, the unplaced vertex of least
+    BFS rank comes next.
+
+    Vertices are worked on by their BFS rank.  Placing x adds x to those
+    vertices if it keeps an unplaced neighbour, and takes away each placed
+    neighbour x is the last unplaced neighbour of (``closes[x]``), so every
+    candidate's key is kept up to date as it changes, packed into one int,
+    and the next vertex is the least key."""
+    names = list(bfs)
+    n = len(names)
+    neighbors = [[bfs[u] for u in graph.neighbors(v)] for v in names]
+    placed = [False] * n
+    unplaced = [0] * n  # of a placed vertex: its unplaced neighbours
+    closes = [0] * n
+    into = [0] * n  # of an unplaced vertex: its edges into the placed set
+    key: dict[int, int] = {}  # unplaced vertex next to the placed set -> its key
+    ranked: list[int] = []
+
+    def rekey(x: int) -> None:
+        key[x] = (((len(neighbors[x]) > into[x]) - closes[x] + n) * (n + 1) + n - into[x]) * n + x
+
+    def close_last(u: int) -> None:
+        for w in neighbors[u]:
+            if not placed[w]:
+                closes[w] += 1
+                rekey(w)
+                return
+
+    v = restart = 0  # s has BFS rank 0
+    while True:
+        ranked.append(v)
+        placed[v] = True
+        key.pop(v, None)
+        for u in neighbors[v]:
+            if not placed[u]:
+                unplaced[v] += 1
+                into[u] += 1
+                rekey(u)
+            else:
+                unplaced[u] -= 1
+                if unplaced[u] == 1:
+                    close_last(u)
+        if unplaced[v] == 1:
+            close_last(v)
+        if len(ranked) == n:
+            return {names[v]: k for k, v in enumerate(ranked)}
+        if key:
+            v = min(key.values()) % n
+        else:
+            while placed[restart]:
+                restart += 1
+            v = restart
+
+
+def _decision_order(graph: TwoTerminalGraph, rank: dict[str, int]) -> list[int]:
+    """The canonical edge positions in the order the DP decides them under a
+    vertex ranking: by the rank of the later endpoint, then of the earlier."""
+    keyed = []
+    for e, (u, v) in enumerate(graph.edge_list()):
+        a, b = rank[u], rank[v]
+        keyed.append((a, b, e) if a > b else (b, a, e))
+    keyed.sort()
+    return [e for _, _, e in keyed]
+
+
+@cache
+def _bell(n: int) -> int:
+    """The number of partitions of an n-set: Bell(n) = sum_i C(n - 1, i) Bell(i)."""
+    return 1 if n == 0 else sum(comb(n - 1, i) * _bell(i) for i in range(n))
+
+
+def _step_bounds(graph: TwoTerminalGraph, spos: Sequence[int], order: Sequence[int]) -> Iterator[int]:
+    """For each step j of the order, Bell(w_j) * 2^o_j: a bound on the
+    (pattern, configuration) entries the DP holds after deciding the edge.
+    w_j is the width of the frontier after the step with s and r always
+    counted, since labels 0 and 1 outlive them; o_j is the number of
+    overridden edges decided so far.  A configuration is a partition of
+    those w_j vertices, and a pattern a subset of those o_j edges."""
+    edges = graph.edge_list()
+    last = {v: j for j, e in enumerate(order) for v in edges[e]}
+    last[graph.s] = last[graph.r] = -1  # counted throughout
+    entered = {graph.s, graph.r}
+    overridden = set(spos)
+    width, decided = 2, 0
+    for j, e in enumerate(order):
+        for v in edges[e]:
+            if v not in entered:
+                entered.add(v)
+                width += 1
+            if last[v] == j:
+                width -= 1
+        decided += e in overridden
+        yield _bell(width) << decided
+
+
+def _decision_orders(graph: TwoTerminalGraph, spos: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """(B, order) for the BFS and then the greedy ranking, where B sums the
+    order's step bounds."""
+    bfs = _bfs_rank(graph)
+    plans = []
+    for rank in (bfs, _greedy_rank(graph, bfs)):
+        order = _decision_order(graph, rank)
+        plans.append((sum(_step_bounds(graph, spos, order)), order))
+    return plans
+
+
+def _frontier_steps(
+    graph: TwoTerminalGraph, spos: Sequence[int], order: Sequence[int]
+) -> Iterator[dict[int, dict[tuple[int, ...], int]]]:
+    """The DP's groups after each step, deciding the edges (canonical
+    positions) in the given order; ``spos`` lists the overridden edges.
+    See ``connectivity_counts``."""
+    m = graph.m
+    edges = graph.edge_list()
+    s, r = graph.s, graph.r
     flag = [0] * m  # pattern bit of each overridden edge
     for k, e in enumerate(spos):
         flag[e] = 1 << k
-    width = 8 * (m // 8 + 1)
+    width = _field_bits(m)
     last = {s: 0, r: 0}  # an s or r with no edge leaves at the first step
-    last.update((v, j) for j, (_, _, e) in enumerate(order) for v in edges[e])
+    last.update((v, j) for j, e in enumerate(order) for v in edges[e])
 
     frontier = [s, r]
     states: dict[int, dict[tuple[int, ...], int]] = {0: {(0, 1): 1}}
-    for j, (_, _, e) in enumerate(order):
+    for j, e in enumerate(order):
         u, v = edges[e]
         entering = [x for x in (u, v) if x not in frontier]
         fresh = tuple(range(len(frontier), len(frontier) + len(entering)))  # above every label in use
@@ -452,14 +567,68 @@ def connectivity_counts(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | N
                 if survived is not None:
                     live[survived] = live.get(survived, 0) + (count << shift)
         states = {pattern: group for pattern, group in following.items() if group}
+        yield states
 
-    step = width // 8
-    fields = m - len(spos) + 1
+
+def _field_bits(m: int) -> int:
+    """The bits of one plain-edge count's field in the DP's packed ints:
+    more than m, since no count exceeds 2^m."""
+    return 8 * (m // 8 + 1)
+
+
+def _frontier_counts(graph: TwoTerminalGraph, spos: Sequence[int], order: Sequence[int]) -> list[list[int]]:
+    """The connectivity counts by the DP, deciding the edges in the given
+    order, read off the joined configuration ``()`` after the last step."""
+    states: dict[int, dict[tuple[int, ...], int]] = {0: {(0, 1): 1}}
+    for states in _frontier_steps(graph, spos, order):
+        pass
+    step = _field_bits(graph.m) // 8
+    fields = graph.m - len(spos) + 1
     counts = []
     for pattern in range(1 << len(spos)):
         data = states.get(pattern, {}).get((), 0).to_bytes(step * fields, "little")
         counts.append([int.from_bytes(data[at:at + step], "little") for at in range(0, step * fields, step)])
     return counts
+
+
+def connectivity_counts(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | None) -> list[list[int]]:
+    """``subset_counts(graph, probmap, connectivity_table(graph))``: the
+    subsets keeping s and r in one component, counted by a frontier DP over
+    the edges (Carlier & Lucet 1996; Hardy, Lucet & Limnios 2007) instead
+    of a 2^m-bit table.
+
+    The edges are decided one at a time, keyed by the rank of their later
+    endpoint.  The frontier is s, r and the vertices with both decided and
+    undecided edges; an edge brings in each endpoint not on it with a fresh
+    label.  A configuration is the partition of the frontier into
+    components of the surviving decided edges: a tuple of labels, 0 for the
+    component of s and 1 for that of r.  Configurations are grouped by the
+    override pattern of the decided edges (bit k for the k-th overridden
+    edge in canonical order), and each carries one packed int, a field of
+    ``_field_bits(m)`` bits per plain-edge count, and a surviving plain edge
+    shifts the int by one field.  A group holds only the patterns that
+    occur, so heavy overrides cost entries, not a dense block of 2^k
+    patterns per configuration.  Joined s and r are the configuration
+    ``()``, which every edge leaves as it is; the counts are read from it at
+    the end.  A configuration whose label 0 or 1 leaves the frontier can no
+    longer join them: it is dropped.
+
+    The vertices are ranked two ways, by one BFS from s and by a greedy
+    min-frontier rule (``_greedy_rank``).  Each ranking's order has a bound
+    B, the sum of its step bounds (``_step_bounds``), on the entries the DP
+    holds; the DP runs the order of smaller B, BFS on a tie.  Past
+    ``MAX_SCAN_EDGES`` edges it is refused before its first step when that
+    B passes ``MAX_DP_CONFIGURATIONS``.  Up to there it runs whatever B is:
+    B counts every override pattern with every partition, so it overstates
+    heavy overrides, while each step holds at most one entry per subset of
+    the decided edges."""
+    spos = _overridden(graph, probmap)
+    bound, order = min(_decision_orders(graph, spos), key=lambda plan: plan[0])
+    if graph.m > MAX_SCAN_EDGES and bound > MAX_DP_CONFIGURATIONS:
+        raise GuardExceededError(
+            f"the frontier DP's configuration bound on {graph.m} edges exceeds its guard of {MAX_DP_CONFIGURATIONS}"
+        )
+    return _frontier_counts(graph, spos, order)
 
 
 def polynomial_from_counts(

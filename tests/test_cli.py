@@ -225,6 +225,10 @@ def test_infinite_protocol_error():
 
 def test_guard_error_exit_code(monkeypatch):
     monkeypatch.setattr(reliability, "MAX_SCAN_EDGES", 9)  # b0 has 10 edges
+    status, _, err = run_cli(["rho-hat"], b0_text())
+    assert status == 3
+    assert json.loads(err)["error"]["code"] == "guard-exceeded"
+    monkeypatch.setattr(reliability, "MAX_DP_CONFIGURATIONS", 0)  # plain reliability is the frontier DP
     status, _, err = run_cli(["reliability"], b0_text())
     assert status == 3
     assert json.loads(err)["error"]["code"] == "guard-exceeded"
@@ -331,6 +335,9 @@ MALFORMED = {
     "edges-not-a-list": (["validate"], _graph_text(edges="sa"), "bad-format", 2),
     "vertices-not-a-list": (["validate"], _graph_text(vertices=3), "bad-format", 2),
     "overrides-not-an-object": (["validate"], _graph_text(prob={"overrides": []}), "bad-format", 2),
+    "overrides-at-the-top-level": (["validate"], _graph_text(overrides={"a-s": "1/2"}), "bad-format", 2),
+    "misspelt-prob": (["reliability"], _graph_text(probs={"overrides": {"a-s": "1/2"}}), "bad-format", 2),
+    "unknown-prob-key": (["reliability"], _graph_text(prob={"overides": {"a-s": "1/2"}}), "bad-format", 2),
     "graph-not-an-object": (["validate"], "\"not an object\"", "bad-format", 2),
     "at-with-piecewise": (["rho-hat", "--at", "1/2", "--piecewise"], _graph_text(), "usage", 1),
     "removed-threads-flag": (["--threads", "2", "cfp"], _graph_text(), "usage", 1),
@@ -374,16 +381,22 @@ CHAIN25 = json.dumps(graph_json(realize(path_graph(reliability.MAX_SCAN_EDGES + 
 REMOVE = "<removal file>"
 
 
-@pytest.mark.parametrize("argv", [
-    ["reliability"], ["reliability", "--prime"], ["reliability", "--at", "1/2"], ["rho-hat"],
-    ["rho-hat", "--at", "1/2"], ["min-discrepancy"], ["discrepancy", "--remove", REMOVE], ["robustness"],
-    ["near-zero"], ["census"],
+# Plain reliability: the frontier DP, guarded by its configuration bound.
+DP_COMMANDS = [["reliability"], ["reliability", "--prime"], ["reliability", "--at", "1/2"]]
+
+
+@pytest.mark.parametrize("argv", DP_COMMANDS + [
+    ["rho-hat"], ["rho-hat", "--at", "1/2"], ["min-discrepancy"], ["discrepancy", "--remove", REMOVE],
+    ["robustness"], ["near-zero"], ["census"],
 ], ids=" ".join)
 def test_scan_guard_comes_before_path_enumeration(argv, tmp_path):
     """K12 has 66 edges and 9,864,101 s,r-paths: every subset-scan command
-    refuses it before enumerating them, as it refuses a 25-edge chain."""
+    refuses it before enumerating them, as it refuses a 25-edge chain, and
+    the frontier DP behind plain ``reliability`` refuses it from its
+    configuration bound before its first step (it answers the chain)."""
     removal = tmp_path / "remove.json"
-    for graph_text, instruction in ((K12, ["0", "1", "2"]), (CHAIN25, ["s", "x24", "x23"])):
+    graphs = [(K12, ["0", "1", "2"])] + ([] if argv in DP_COMMANDS else [(CHAIN25, ["s", "x24", "x23"])])
+    for graph_text, instruction in graphs:
         removal.write_text(json.dumps({"instructions": [instruction]}))
         start = time.perf_counter()
         status, out, err = run_cli([str(removal) if a == REMOVE else a for a in argv], graph_text)
@@ -391,6 +404,15 @@ def test_scan_guard_comes_before_path_enumeration(argv, tmp_path):
         assert (status, out) == (3, "")
         assert err.endswith("\n") and err.count("\n") == 1
         assert json.loads(err)["error"]["code"] == "guard-exceeded"
+
+
+@pytest.mark.parametrize("argv", DP_COMMANDS, ids=" ".join)
+def test_the_frontier_dp_answers_past_the_scan_guard(argv):
+    """The 25-edge chain keeps s and r joined only when every edge
+    survives: p^25, and (1/2)^25 at p = 1/2."""
+    status, out, err = run_cli(argv, CHAIN25)
+    assert (status, err) == (0, "")
+    assert json.loads(out) == ({"value": "1/33554432"} if "--at" in argv else {"poly": ["0"] * 25 + ["1"]})
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,6 @@
 """The frontier DP behind ``connectivity_counts``, against the bit-sliced
-connectivity table it replaced, and the paths that now build neither a
-table nor a CFP."""
+connectivity table it replaced, under both decision orders; its bound and
+guard; and the paths that now build neither a table nor a CFP."""
 
 import hashlib
 import io
@@ -35,9 +35,9 @@ from relayopt import (
 )
 from relayopt.asymptotics import cut_census
 from relayopt.cli import main
-from relayopt.constructions import path_graph, realize
+from relayopt.constructions import build_breakpoint_graph, build_crossing_pair, path_graph, realize
 from relayopt.errors import GuardExceededError
-from relayopt.graphs import all_instructions, graph_json
+from relayopt.graphs import all_instructions, b0, graph_json
 from relayopt.polys import Poly
 from relayopt.reliability import (
     MAX_SCAN_EDGES,
@@ -49,7 +49,7 @@ from relayopt.reliability import (
     subset_counts,
 )
 
-from conftest import complete_graph, grid, random_graph
+from conftest import complete_graph, grid, random_graph, relabeled
 
 X = Poly.x()
 VALUES = [Poly.constant(Fraction(3, 7)), X ** 2, Poly((Fraction(1, 2), Fraction(1, 3)))]
@@ -145,16 +145,115 @@ def differential_graphs(rng: random.Random) -> list[tuple[TwoTerminalGraph, Edge
 
 
 def test_connectivity_counts_match_the_table():
+    """The DP's counts equal the table's under the BFS order and under the
+    greedy one, whichever ``connectivity_counts`` picks."""
     rng = random.Random(2007)
     graphs = differential_graphs(rng)
     assert len(graphs) >= 200
-    disconnected = 0
+    disconnected = differ = 0
     for g, probmap in graphs:
         counts = connectivity_counts(g, probmap)
         assert counts == subset_counts(g, probmap, connectivity_table(g))
+        spos = reliability._overridden(g, probmap)
+        (_, bfs), (_, greedy) = reliability._decision_orders(g, spos)
+        assert sorted(bfs) == sorted(greedy) == list(range(g.m))
+        for order in (bfs, greedy):
+            assert reliability._frontier_counts(g, spos, order) == counts
+        differ += bfs != greedy
         disconnected += not any(map(any, counts))
         assert rho(g, probmap) == polynomial_from_table(g, probmap, path_table(cfp(g)))
-    assert disconnected >= 10
+    assert disconnected >= 10 and differ >= 50
+
+
+def held(states: dict) -> int:
+    """The (pattern, configuration) entries of the DP's groups."""
+    return sum(map(len, states.values()))
+
+
+def test_entries_stay_within_the_step_bounds():
+    """After each step, under either order, the DP holds at most
+    Bell(w_j) * 2^o_j entries: the step bound that B sums."""
+    rng = random.Random(1017)
+    cases = differential_graphs(rng)[::2]
+    cases += [(g, None) for g in (complete_graph(7), wheel(12), grid(4, 4), complete_bipartite(3, 8, "a0", "a2"))]
+    k38 = complete_bipartite(3, 8, "a0", "b7")
+    cases.append((k38, EdgeProbabilityMap.with_overrides(k38, {e: X ** 2 for e in k38.edge_list() if "b0" in e})))
+    tight = 0
+    for g, probmap in cases:
+        spos = reliability._overridden(g, probmap)
+        for _, order in reliability._decision_orders(g, spos):
+            steps = list(zip(reliability._frontier_steps(g, spos, order), reliability._step_bounds(g, spos, order)))
+            assert len(steps) == g.m
+            assert all(held(states) <= bound for states, bound in steps)
+            tight += any(2 * held(states) >= bound for states, bound in steps)
+    assert tight >= 20
+
+
+# The graphs of the benchmark's scan corpus, strata 0 to 2; strata 3 and 4
+# are the 2x6 and 3x4 grids.
+SCAN_SHAPES = [
+    TwoTerminalGraph(
+        ["s", "r"] + [f"v{i}" for i in range(1, n + 1)], [tuple(e.split("-")) for e in edges.split()], "s", "r"
+    )
+    for n, edges in (
+        (6, "r-s r-v1 r-v3 r-v6 s-v2 s-v3 v1-v2 v1-v3 v1-v4 v1-v5 v2-v3 v2-v4 v4-v5 v4-v6"),
+        (7, "r-v1 r-v2 r-v3 r-v4 r-v6 s-v3 s-v4 s-v5 s-v7 v1-v4 v1-v7 v2-v5 v2-v7 v3-v5 v3-v6 v4-v6"),
+        (7, "r-s r-v1 r-v2 r-v4 r-v7 s-v4 v1-v2 v1-v7 v2-v3 v2-v4 v2-v7 v3-v4 v3-v7 v4-v5 v4-v6 v4-v7 v5-v6 v5-v7"),
+    )
+] + [grid(2, 6), grid(3, 4)]
+
+
+def test_the_chosen_order_has_the_smaller_bound(monkeypatch):
+    """``connectivity_counts`` runs the order of smaller B, BFS on a tie, so
+    its B is at most the BFS order's: on the scan corpus shapes and their
+    relabellings, on grids and on K3,8.  Greedy wins on K3,8 from a0 and
+    on the scan corpus's stratum 1; the grids keep BFS."""
+    rng = random.Random(331)
+    k38 = [complete_bipartite(3, 8, s, r) for s, r in (("a0", "b7"), ("a0", "a2"), ("b0", "b7"))]
+    grids = [grid(rows, cols) for rows, cols in ((3, 3), (4, 4), (5, 5), (6, 6), (8, 8))]
+    shapes = SCAN_SHAPES + k38 + grids
+    ran = []
+    monkeypatch.setattr(reliability, "_frontier_counts", lambda g, spos, order: ran.append(order))
+    chosen = {}
+    for g in shapes + [relabeled(g, rng) for g in SCAN_SHAPES + k38 + grids[:3] for _ in range(4)]:
+        (bfs_bound, bfs), (greedy_bound, greedy) = reliability._decision_orders(g, [])
+        ran.clear()
+        connectivity_counts(g, None)
+        [order] = ran
+        assert order == (greedy if greedy_bound < bfs_bound else bfs)
+        bound = sum(reliability._step_bounds(g, [], order))
+        assert bound == min(bfs_bound, greedy_bound) <= sum(reliability._step_bounds(g, [], bfs))
+        chosen.setdefault(g, greedy_bound < bfs_bound)
+    assert all(chosen[g] for g in [SCAN_SHAPES[1], *k38[:2]])
+    assert not any(chosen[g] for g in [k38[2], *grids])
+
+
+def test_the_dp_guard_admits_the_large_shapes_and_refuses_k12(monkeypatch):
+    """B, not m, guards the DP: the 8x8 grid (m = 112) and K3,8 with its
+    16 a0 and a1 edges overridden come within ``MAX_DP_CONFIGURATIONS``,
+    each by one order only, and K12 (m = 66) does not.  The guard is read
+    when the counts start, and only past ``MAX_SCAN_EDGES`` edges: K7
+    (m = 21) with 16 overridden edges has B past it and is still counted."""
+    limit = reliability.MAX_DP_CONFIGURATIONS
+    k38 = complete_bipartite(3, 8, "a0", "a2")
+    heavy = EdgeProbabilityMap.with_overrides(k38, {e: X ** 2 for e in k38.edge_list() if "a0" in e or "a1" in e})
+    (bfs, _), (greedy, _) = reliability._decision_orders(k38, reliability._overridden(k38, heavy))
+    assert greedy <= limit < bfs  # admitted by the greedy order alone
+    (bfs, _), (greedy, _) = reliability._decision_orders(grid(8, 8), [])
+    assert bfs <= limit < greedy  # admitted by the BFS order alone
+    k12 = complete_graph(12)
+    assert min(bound for bound, _ in reliability._decision_orders(k12, [])) > limit
+    k7 = complete_graph(7)
+    heavy = EdgeProbabilityMap.with_overrides(k7, {e: X ** 2 for e in k7.edge_list()[:MAX_SPECIAL_EDGES]})
+    assert min(bound for bound, _ in reliability._decision_orders(k7, reliability._overridden(k7, heavy))) > limit
+    assert connectivity_counts(k7, heavy) == subset_counts(k7, heavy, connectivity_table(k7))
+    chain = realize(path_graph(MAX_SCAN_EDGES + 2))
+    bound = min(bound for bound, _ in reliability._decision_orders(chain, []))
+    monkeypatch.setattr(reliability, "MAX_DP_CONFIGURATIONS", bound - 1)
+    with pytest.raises(GuardExceededError, match="configuration bound"):
+        rho(chain)
+    monkeypatch.setattr(reliability, "MAX_DP_CONFIGURATIONS", bound)
+    assert rho(chain) == X ** chain.m
 
 
 @pytest.mark.parametrize("graph", [
@@ -313,18 +412,62 @@ def test_path_reliability_enumerates_the_paths_once(monkeypatch):
 
 
 def test_guards_come_before_any_work(monkeypatch):
+    """The override guard comes before the decision orders are planned, and
+    the DP's own guard before its first step; the table kernels keep the
+    subset-scan guard on a 25-edge chain, before any column is built."""
+    k12 = complete_graph(12)
     chain = realize(path_graph(MAX_SCAN_EDGES + 2))
     assert chain.m == MAX_SCAN_EDGES + 1
     many = realize(path_graph(MAX_SPECIAL_EDGES + 2))
     overrides = EdgeProbabilityMap.with_overrides(many, {e: X ** 2 for e in many.edge_list()})
-    for work in ("_edge_polynomials", "_column"):
+    for work in ("_frontier_steps", "_column"):
         monkeypatch.setattr(reliability, work, boom)
-    monkeypatch.setattr(TwoTerminalGraph, "neighbors", boom)
     for count in (rho, cut_census, lambda g: connectivity_counts(g, None)):
-        with pytest.raises(GuardExceededError, match="subset-scan guard"):
-            count(chain)
+        with pytest.raises(GuardExceededError, match="configuration bound"):
+            count(k12)
+    with pytest.raises(GuardExceededError, match="subset-scan guard"):
+        connectivity_table(chain)
     monkeypatch.undo()
     monkeypatch.setattr(TwoTerminalGraph, "neighbors", boom)
     for count in (lambda g: rho(g, overrides), lambda g: connectivity_counts(g, overrides)):
         with pytest.raises(GuardExceededError, match="overridden edges"):
             count(many)
+
+
+def test_the_dp_counts_a_chain_past_the_scan_guard():
+    """A 25-edge chain, one edge past ``MAX_SCAN_EDGES``: s and r are joined
+    only when every edge survives, and every nonempty set of edges cuts
+    them."""
+    chain = realize(path_graph(MAX_SCAN_EDGES + 2))
+    m = chain.m
+    assert m == MAX_SCAN_EDGES + 1
+    assert connectivity_counts(chain, None) == [[0] * m + [1]]
+    assert rho(chain) == X ** m
+    census = cut_census(chain)
+    assert census.min_cut == 1 and census.counts == {j: comb(m, j) for j in range(1, m + 1)}
+
+
+# ``reliability`` of build_breakpoint_graph((1, 1)), m = 34, as the b0 side
+# of the transport identity below gave it before the DP ran past 24 edges.
+BREAKPOINT_11 = [
+    "0", "0", "0", "0", "0", "1", "6", "13", "7", "-20", "-39", "-37", "10", "60", "-130", "507", "-174", "-121",
+    "-487", "-32", "426", "197", "476", "-626", "-439", "66", "409", "232", "-293", "-93", "35", "65", "1", "-26", "7",
+]
+
+
+@pytest.mark.parametrize("orders", [(1,), (1, 1), (3,)], ids=str)
+def test_breakpoint_graphs_by_transport(orders):
+    """A breakpoint graph is b0 with its sender edges s-1 and s-2 replaced
+    by the crossing pair's sides, so its reliability is that of b0 with
+    rho(h1) and rho(h2) on those two edges.  The two sides share no
+    decision order: m = 13, 34 and 58 against b0's 10."""
+    g = build_breakpoint_graph(orders)
+    h1, h2 = build_crossing_pair(orders)
+    base = b0()
+    sides = EdgeProbabilityMap.with_overrides(base, {("s", "1"): rho(realize(h1)), ("s", "2"): rho(realize(h2))})
+    expected = rho(base, sides)
+    assert g.m == {(1,): 13, (1, 1): 34, (3,): 58}[orders]
+    assert rho(g) == expected
+    assert run_cli(["reliability"], g) == {"poly": expected.to_strings()}
+    if orders == (1, 1):
+        assert expected.to_strings() == BREAKPOINT_11

@@ -186,7 +186,7 @@ def test_state_graph_sweep_over_all_subsets_is_the_walk_table():
                 assert sg.delivered(columns) == table
                 relevant = sg.relevant_edges()
                 assert relevant == relevant_edges_oracle(protocol)
-                test = sg.admission_test()
+                test = sg.admission_test(relevant)
                 assert table_of(m, lambda S: test(projected(relevant, S))) == table
     assert infinite >= 10
 
@@ -347,7 +347,8 @@ def test_walk_tables_with_irrelevant_edges_match_both_oracles(m):
 
 def test_walk_search_visits_only_the_subsets_of_the_relevant_edges(monkeypatch):
     """The per-subset search of a walk table runs over the 2^k subsets of
-    the k edges under useful states, in increasing order, and no others.
+    the k edges under useful states, in increasing order, and no others;
+    those edges are found once per table.
     On K3,8 (m = 24) the near-zero protocol from a0 to b7 is the one edge
     a0-b7, so the subsets of one edge are searched, and from a0 to a2 it is the eight
     paths a0-b-a2 (k = 16), whose reliability is 1 - (1 - p^2)^8."""
@@ -361,6 +362,9 @@ def test_walk_search_visits_only_the_subsets_of_the_relevant_edges(monkeypatch):
         return minimal
 
     monkeypatch.setattr(reliability, "monotone_table", spy)
+    found = []
+    real_relevant = StateGraph.relevant_edges
+    monkeypatch.setattr(StateGraph, "relevant_edges", lambda sg: found.append(sg) or real_relevant(sg))
     a, b = [f"a{i}" for i in range(3)], [f"b{i}" for i in range(8)]
     x = Poly.x()
     rng = random.Random(26)
@@ -375,7 +379,9 @@ def test_walk_search_visits_only_the_subsets_of_the_relevant_edges(monkeypatch):
     for graph, expected in cases:
         protocol = near_zero_protocol(graph)
         searched.clear()
+        found.clear()
         poly = rho_A(protocol)
+        assert len(found) == 1
         k = len(relevant_edges_oracle(protocol))
         [(arg, visited)] = searched
         assert arg == k and len(visited) <= 1 << k
