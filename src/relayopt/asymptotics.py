@@ -2,11 +2,13 @@
 
 Near p = 0 the optimal reliability is governed by the counts of short
 s,r-paths; near p = 1 by the number of minimum s,r edge cuts.  The
-near-zero head is read off the path census, which enumerates the paths,
-and the cut census is the complement of the connectivity counts.  The
-near-one head and robustness are questions about the fewest failures, so
-they search the failure levels (the worlds that fail exactly k edges)
-upward from k = 0 and stop at the first level that answers.  The
+near-zero head is read off the path census, which enumerates the paths
+under the path guard, and the cut census is the complement of the
+connectivity counts, under the frontier DP's guard; neither builds a 2^m
+table.  The near-one head and robustness are questions about the fewest
+failures, so they search the failure levels (the worlds that fail exactly
+k edges) upward from k = 0 under the subset-scan guard, and stop at the
+first level that answers.  The
 piecewise optimizer's extreme pieces are checked against the heads in the
 test suite.
 """
@@ -55,7 +57,9 @@ class CutCensus:
 
 
 def path_census(graph: TwoTerminalGraph) -> PathCensus:
-    check_scan_guard(graph.m)  # before the paths are enumerated
+    """Path counts by length, from the one enumeration of the s,r-paths,
+    which ``MAX_PATHS`` guards; no 2^m table is built, so the subset-scan
+    guard does not apply."""
     counts: dict[int, int] = {}
     for p in enumerate_sr_paths(graph):
         counts[len(p) - 1] = counts.get(len(p) - 1, 0) + 1

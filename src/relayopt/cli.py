@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import asymptotics, constructions, engine, optimizer, reliability
-from .errors import FormatError, GuardExceededError, RelayoptError
+from .errors import FormatError, GuardExceededError, ProbabilityError, RelayoptError
 from .graphs import (
     EdgeProbabilityMap,
     Protocol,
@@ -300,8 +300,10 @@ def _run(args, stdin, stdout) -> None:
         exp = constructions.expand(graph, (x, y), _load_tree(args.with_file))
         emit(graph_json(exp.graph))
     elif cmd == "census":
-        paths = asymptotics.path_census(graph)
+        # cuts first: the frontier DP's bound refuses a dense graph before
+        # its paths are enumerated
         cuts = asymptotics.cut_census(graph)
+        paths = asymptotics.path_census(graph)
         emit({
             "k": paths.distance,
             "d": {str(k): v for k, v in sorted(paths.counts.items())},
@@ -323,6 +325,10 @@ def _run(args, stdin, stdout) -> None:
             raise _UsageError("--trials must be at least 1")
         if not SEED_MIN <= args.seed <= SEED_MAX:
             raise _UsageError("--seed must fit in a signed 64-bit integer")
+        # every edge is sampled at --p, so a probability of its own would be ignored
+        own = [f"{u}-{v}" for (u, v), poly in probmap.items() if poly != Poly.x()]
+        if own:
+            raise ProbabilityError(f"simulate samples every edge at --p, but edge {own[0]} has its own probability")
         protocol = _load_protocol(args.protocol, graph)
         report = run_trials(protocol, parse_rational(args.p), args.trials, args.seed, count_copies=args.copies)
         emit(report.to_json())

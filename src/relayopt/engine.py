@@ -181,18 +181,6 @@ def _sweep(
     return got
 
 
-def _useful(succ: Sequence[int], pred: Sequence[int], start: int, accepting: int) -> int:
-    """Bitmask of the states reachable from ``start`` along the successor
-    masks ``succ`` and reaching ``accepting``, whose predecessor masks are
-    ``pred``."""
-    return _closure(start, succ) & _closure(accepting, pred)
-
-
-def _essential(succ: Sequence[int], useful: int) -> list[int]:
-    """The successor masks cut to the transitions between useful states."""
-    return [mask & useful if useful >> i & 1 else 0 for i, mask in enumerate(succ)]
-
-
 def topological_order(adjacency: Sequence[int]) -> list[int] | None:
     """Every state, each before its successors in ``adjacency`` (one
     successor bitmask per state), or None when the masks contain a cycle."""
@@ -218,27 +206,30 @@ def topological_order(adjacency: Sequence[int]) -> list[int] | None:
 
 class StateGraph:
     """Directed graph on ordered adjacent vertex pairs for one protocol: the
-    one walk object, read by finiteness, walks, circuits, the walk tables
-    and the Monte Carlo sweep.
+    one walk object, read by finiteness, walks, circuits, the walk tables,
+    the removal search and the Monte Carlo sweep.
 
-    States are numbered in sorted order.  ``succ[i]`` is the bitmask of
-    state i's successors and ``edge[i]`` the canonical index of the edge
-    under state i; ``initial`` lists the states (s, x), ``initial_mask``
-    holds them as a bitmask, and ``accepting`` is the bitmask of the states
-    (y, r).  ``useful`` is the bitmask of the states reachable from an
-    initial state and co-reaching an accepting one.  ``essential[i]`` is
-    ``succ[i]`` cut to useful states, and ``arcs[i]`` lists the same
+    States are numbered in sorted order.  ``succ[i]`` and ``pred[i]`` are
+    the bitmasks of state i's successors and predecessors, and ``edge[i]``
+    the canonical index of the edge under state i; ``initial`` lists the
+    states (s, x), ``initial_mask`` holds them as a bitmask, and
+    ``accepting`` is the bitmask of the states (y, r).  ``useful`` is the
+    bitmask of the states reachable from an initial state and co-reaching
+    an accepting one.  ``essential[i]`` is ``succ[i]`` cut to useful
+    states, and ``arcs[i]``, listed on first read, holds the same
     successors ascending.  ``order`` is the useful states, each before its
     essential successors, or None when the protocol is infinite (the
-    essential transitions hold a cycle).  Every walk over it is iterative.
+    essential transitions hold a cycle): the one finiteness test.  Every
+    walk over it is iterative.
 
     ``without`` gives the state graph of a protocol with fewer
     instructions from this one, with no protocol built: the layout fields
-    (``graph`` to ``accepting``) are shared, and the fields read off
-    ``succ`` are derived by the code the constructor runs."""
+    (``graph`` to ``accepting``) are shared, the removed transitions are
+    cleared from ``succ`` and ``pred``, and the fields read off them are
+    derived by the code the constructor runs."""
 
-    __slots__ = ("graph", "states", "edge", "succ", "initial", "initial_mask", "accepting", "useful",
-                 "essential", "arcs", "order")
+    __slots__ = ("graph", "states", "edge", "initial", "initial_mask", "accepting", "succ", "pred", "useful",
+                 "essential", "order", "_arcs")
 
     def __init__(self, protocol: Protocol):
         graph = protocol.graph
@@ -253,29 +244,43 @@ class StateGraph:
         self.initial = tuple(index[(graph.s, x)] for x in graph.neighbors(graph.s))
         self.initial_mask = sum(1 << i for i in self.initial)
         self.accepting = sum(1 << index[(y, graph.r)] for y in graph.neighbors(graph.r))
-        self._derive(succ)
+        self._derive(succ, _predecessors(succ))
 
-    def _derive(self, succ: list[int]) -> None:
-        """Set ``succ`` and the fields read off it: ``useful``,
-        ``essential``, ``arcs`` and ``order``."""
+    def _derive(self, succ: list[int], pred: list[int]) -> None:
+        """Set ``succ``, ``pred`` and the fields read off them: ``useful``,
+        ``essential`` and ``order``."""
         self.succ = tuple(succ)
-        self.useful = useful = _useful(succ, _predecessors(succ), self.initial_mask, self.accepting)
-        self.essential = essential = tuple(_essential(succ, useful))
-        self.arcs = tuple(map(_bits, essential))
+        self.pred = tuple(pred)
+        self.useful = useful = _closure(self.initial_mask, succ) & _closure(self.accepting, pred)
+        self.essential = essential = tuple(mask & useful if useful >> i & 1 else 0 for i, mask in enumerate(succ))
         order = topological_order(essential)
         self.order = None if order is None else tuple(i for i in order if useful >> i & 1)
+
+    @property
+    def arcs(self) -> tuple[tuple[int, ...], ...]:
+        """The essential successors of each state, ascending.  Listed on
+        first read: the removal search derives a state graph per finiteness
+        test and reads only its ``order``."""
+        try:
+            return self._arcs
+        except AttributeError:
+            self._arcs = arcs = tuple(map(_bits, self.essential))
+            return arcs
 
     def without(self, transitions: Iterable[tuple[int, int]]) -> StateGraph:
         """The state graph of the same protocol minus the transitions
         i -> j given (state indices): the same states, edges, initial and
-        accepting states, and the successor masks with those bits cleared."""
+        accepting states, and the successor and predecessor masks with
+        those bits cleared."""
         succ = list(self.succ)
+        pred = list(self.pred)
         for i, j in transitions:
             succ[i] &= ~(1 << j)
+            pred[j] &= ~(1 << i)
         reduced = StateGraph.__new__(StateGraph)
         for name in ("graph", "states", "edge", "initial", "initial_mask", "accepting"):
             setattr(reduced, name, getattr(self, name))
-        reduced._derive(succ)
+        reduced._derive(succ, pred)
         return reduced
 
     def delivered(self, columns: Sequence[int]) -> int:

@@ -17,19 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .engine import (
-    StateGraph,
-    _bits,
-    _essential,
-    _predecessors,
-    _useful,
-    cfp,
-    enumerate_sr_paths,
-    instructions_in,
-    is_finite,
-    spfp_reduce,
-    topological_order,
-)
+from .engine import StateGraph, _bits, cfp, enumerate_sr_paths, instructions_in, is_finite, spfp_reduce
 from .errors import GuardExceededError, InstructionError, RelayoptError
 from .graphs import (
     EdgeProbabilityMap,
@@ -135,48 +123,23 @@ def discrepancy(
 
 class _RemovalSpace:
     """The CFP's state graph ``state_graph``, built once, with its
-    circuit-borne transitions numbered in the order of their instructions:
-    bit k of a removal mask removes the k-th.  The finiteness test clears a
-    set's transitions from the successor and predecessor masks; no
-    protocol or state graph is rebuilt.  A set's own state graph, for its
-    walk table, is derived from ``state_graph``."""
+    circuit-borne transitions ``moves`` numbered in the order of their
+    ``instructions``: bit k of a removal mask removes the k-th.  A set's
+    state graph is derived from ``state_graph`` with no protocol rebuilt,
+    and its ``order`` is the finiteness test, the same one ``is_finite``
+    runs; the same derived graph gives the set's walk table."""
 
-    __slots__ = ("state_graph", "succ", "pred", "circuit", "start", "accepting", "moves", "instructions")
+    __slots__ = ("state_graph", "moves", "instructions")
 
     def __init__(self, graph: TwoTerminalGraph):
         self.state_graph = sg = StateGraph(cfp(graph))
         by_instruction = sorted((sg.instruction_of(i, j), i, j) for i, j in sg.circuit_transitions())
-        self.succ = sg.succ
-        self.pred = _predecessors(sg.succ)
-        self.start = sg.initial_mask
-        self.accepting = sg.accepting
         self.moves = [(i, j) for _, i, j in by_instruction]
         self.instructions = [ins for ins, _, _ in by_instruction]
-        circuit = [0] * len(sg.succ)
-        for i, j in self.moves:
-            circuit[i] |= 1 << j
-        self.circuit = tuple(circuit)
-
-    def _without(self, removed: int) -> tuple[list[int], list[int], int]:
-        """Successor and circuit masks of the CFP without the removed
-        transitions, and its useful states."""
-        succ = list(self.succ)
-        pred = list(self.pred)
-        circuit = list(self.circuit)
-        for k in _bits(removed):
-            i, j = self.moves[k]
-            succ[i] &= ~(1 << j)
-            pred[j] &= ~(1 << i)
-            circuit[i] &= ~(1 << j)
-        return succ, circuit, _useful(succ, pred, self.start, self.accepting)
 
     def is_finite(self, removed: int) -> bool:
-        """Whether the CFP without the removed transitions is finite.  An
-        essential circuit of it is one of the CFP's too, so only the
-        remaining circuit-borne transitions between useful states are
-        ordered."""
-        _, circuit, useful = self._without(removed)
-        return topological_order(_essential(circuit, useful)) is not None
+        """Whether the CFP without the removed transitions is finite."""
+        return self.reduced(removed).order is not None
 
     def reduced(self, removed: int) -> StateGraph:
         """The state graph of the CFP without the removed transitions."""
@@ -193,8 +156,8 @@ class _RemovalSpace:
         (k-1)-subsets was tested and left the CFP infinite.  Those are
         exactly the k-sets containing no set found before, so the tests are
         those of trying every combination in turn and skipping the ones
-        that contain a found set.  Refused past ``MAX_REMOVAL_TESTS``
-        tests."""
+        that contain a found set.  Each test derives the set's state graph
+        from the CFP's.  Refused past ``MAX_REMOVAL_TESTS`` tests."""
         if self.is_finite(0):
             return [0]
         found: list[int] = []
@@ -278,7 +241,9 @@ def _minimal_removal_family(astar: Protocol, candidates: Sequence[Instruction]) 
 def minimal_removal_sets(graph: TwoTerminalGraph) -> list[RemovalSet]:
     """Minimal circuit-borne removal sets making the CFP finite, sorted.
     Removing every circuit-borne instruction always succeeds, so the family
-    is nonempty; for a finite CFP it is the single empty set."""
+    is nonempty; for a finite CFP it is the single empty set.  Each set is
+    tested by ``StateGraph.order`` on the CFP's state graph without its
+    transitions, the test ``is_finite`` runs on a built protocol."""
     space = _RemovalSpace(graph)
     return [space.removal(removed) for removed in space.minimal_removals()]
 

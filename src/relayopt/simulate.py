@@ -158,10 +158,11 @@ def _copy_counts(sg: StateGraph, columns: list[int], trials: int) -> dict[int, i
     """Histogram of the number of surviving protocol walks over the trials
     of the bitset ``trials``, given each edge's survival column.  Needs the
     topological order, so the protocol must be finite."""
-    planes: list[list[int]] = [[] for _ in sg.arcs]
+    arcs = sg.arcs
+    planes: list[list[int]] = [[] for _ in arcs]
     for i in reversed(sg.order):
         total = [trials] if sg.accepting >> i & 1 else []
-        for j in sg.arcs[i]:
+        for j in arcs[i]:
             total = _add(total, planes[j])
         col = columns[sg.edge[i]]
         planes[i] = [p & col for p in total]

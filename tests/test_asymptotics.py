@@ -15,11 +15,12 @@ from relayopt import (
     near_one_expansion,
     near_zero_expansion,
     path_census,
+    rho,
     robustness,
     subset_admits_walk,
     walk_spectrum,
 )
-from relayopt.constructions import parallel, path_graph, realize
+from relayopt.constructions import build_breakpoint_graph, parallel, path_graph, realize
 from relayopt.engine import StateGraph
 from relayopt.optimizer import circuit_instructions
 from relayopt.polys import Poly
@@ -223,6 +224,21 @@ def test_robustness_of_parallel_two_paths(k):
         tracemalloc.stop()
     assert value == k - 2
     assert peak < 64 << 20, peak
+
+
+def test_censuses_past_the_scan_guard_match_the_ends_of_rho():
+    """On the (1,1) breakpoint graph (34 edges) the censuses need no 2^m
+    table, and they agree with the frontier DP's rho at both ends: rho
+    starts d_k p^k, and 1 - rho(1 - q) starts c_e q^e."""
+    graph = build_breakpoint_graph((1, 1))
+    poly = rho(graph)
+    paths, cuts = path_census(graph), cut_census(graph)
+    k, e = paths.distance, cuts.min_cut
+    assert (k, paths.count(k), e, cuts.count(e)) == (5, 1, 2, 1)
+    assert all(poly.coefficient(j) == 0 for j in range(k)) and poly.coefficient(k) == paths.count(k)
+    in_q = 1 - poly.compose(Poly((1, -1)))
+    assert all(in_q.coefficient(j) == 0 for j in range(e)) and in_q.coefficient(e) == cuts.count(e)
+    assert near_zero_expansion(graph)[:3] == (k, paths.count(k), paths.count(k + 1))
 
 
 def test_near_one_matches_the_cut_census():

@@ -5,10 +5,12 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from relayopt import build_breakpoint_graph, build_crossing_pair, cfp, essential_circuits, realize, reliability, rho
+from relayopt import cli
 from relayopt.cli import build_parser, main
 from relayopt.constructions import path_graph
 from relayopt.graphs import EdgeProbabilityMap, TwoTerminalGraph, b0, graph_json, protocol_json
@@ -272,6 +274,24 @@ def test_simulate_trials_below_one_is_a_usage_error(trials):
     assert json.loads(err)["error"]["code"] == "usage"
 
 
+def test_simulate_refuses_edges_of_their_own_probability(monkeypatch):
+    """Every edge is sampled at --p, so a graph that gives an edge another
+    probability is refused before any trial: b0 with 1-s and 2-s at 1/100
+    would otherwise print the plain b0 estimate.  A ``prob`` that gives
+    every edge p is plain b0."""
+    argv = ["simulate", "--p", "1/2", "--trials", "2000", "--seed", "1"]
+    _, plain, _ = run_cli(argv, b0_text())
+    graph = json.loads(b0_text())
+    graph["prob"] = {"default": "p"}
+    assert run_cli(argv, json.dumps(graph)) == (0, plain, "")
+    graph["prob"] = {"default": "p", "overrides": {"1-s": "1/100", "2-s": "1/100"}}
+    monkeypatch.setattr(cli, "run_trials", None)  # reached only by running trials
+    status, out, err = run_cli(argv, json.dumps(graph))
+    assert (status, out) == (2, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"]["code"] == "bad-probability"
+
+
 def test_simulate_is_not_bound_by_the_subset_scan_guard():
     # Six disjoint 5-edge routes: m = 30, beyond the 24-edge scan guard.
     from relayopt.constructions import parallel, path_graph, realize
@@ -383,19 +403,22 @@ REMOVE = "<removal file>"
 
 # Plain reliability: the frontier DP, guarded by its configuration bound.
 DP_COMMANDS = [["reliability"], ["reliability", "--prime"], ["reliability", "--at", "1/2"]]
+# The census counts its cuts by the same DP first, and its paths under the path guard.
+ANSWERS_THE_CHAIN = DP_COMMANDS + [["census"]]
 
 
-@pytest.mark.parametrize("argv", DP_COMMANDS + [
+@pytest.mark.parametrize("argv", ANSWERS_THE_CHAIN + [
     ["rho-hat"], ["rho-hat", "--at", "1/2"], ["min-discrepancy"], ["discrepancy", "--remove", REMOVE],
-    ["robustness"], ["near-zero"], ["census"],
+    ["robustness"], ["near-one"],
 ], ids=" ".join)
 def test_scan_guard_comes_before_path_enumeration(argv, tmp_path):
     """K12 has 66 edges and 9,864,101 s,r-paths: every subset-scan command
     refuses it before enumerating them, as it refuses a 25-edge chain, and
-    the frontier DP behind plain ``reliability`` refuses it from its
-    configuration bound before its first step (it answers the chain)."""
+    the frontier DP behind plain ``reliability`` and the cut census refuses
+    it from its configuration bound before its first step (it answers the
+    chain)."""
     removal = tmp_path / "remove.json"
-    graphs = [(K12, ["0", "1", "2"])] + ([] if argv in DP_COMMANDS else [(CHAIN25, ["s", "x24", "x23"])])
+    graphs = [(K12, ["0", "1", "2"])] + ([] if argv in ANSWERS_THE_CHAIN else [(CHAIN25, ["s", "x24", "x23"])])
     for graph_text, instruction in graphs:
         removal.write_text(json.dumps({"instructions": [instruction]}))
         start = time.perf_counter()
@@ -415,8 +438,23 @@ def test_the_frontier_dp_answers_past_the_scan_guard(argv):
     assert json.loads(out) == ({"value": "1/33554432"} if "--at" in argv else {"poly": ["0"] * 25 + ["1"]})
 
 
+def test_census_and_near_zero_answer_past_the_scan_guard():
+    """Neither builds a 2^m table: the 25-edge chain has one path, of all
+    25 edges, so every nonempty edge set cuts it, and its near-zero
+    protocol is the CFP."""
+    m = reliability.MAX_SCAN_EDGES + 1
+    status, out, err = run_cli(["census"], CHAIN25)
+    assert (status, err) == (0, "")
+    assert json.loads(out) == {"k": m, "d": {str(m): 1}, "e": 1, "c": {str(j): comb(m, j) for j in range(1, m + 1)}}
+    status, out, err = run_cli(["near-zero"], CHAIN25)
+    assert (status, err) == (0, "")
+    chain_cfp = cfp(realize(path_graph(m + 1)))
+    assert json.loads(out) == {"k": m, "d_k": 1, "d_k1": 0, "protocol": [list(i) for i in chain_cfp]}
+
+
 @pytest.mark.parametrize("argv", [
     ["paths"], ["cfp"], ["finite"], ["finite", "--witness"], ["simulate", "--p", "1/2", "--trials", "8", "--seed", "1"],
+    ["near-zero"],
 ], ids=" ".join)
 def test_path_guard(argv):
     """The commands that collect every s,r-path refuse K12's 9,864,101 once

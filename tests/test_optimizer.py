@@ -29,7 +29,7 @@ from relayopt import (
 from relayopt import optimizer, reliability
 from relayopt.cli import _piecewise_json
 from relayopt.constructions import build_breakpoint_graph, parallel, path_graph, realize
-from relayopt.engine import StateGraph, _bits, essential_instructions
+from relayopt.engine import StateGraph, _bits, _predecessors, essential_instructions
 from relayopt.optimizer import _minimal_removal_family, _upper_envelope
 from relayopt.polys import Poly
 from relayopt.reliability import admits_table
@@ -175,8 +175,15 @@ KNOT_EDGES = [("e", "h"), ("e", "l"), ("e", "w"), ("e", "z"), ("h", "u"), ("h", 
               ("o", "u"), ("o", "w"), ("u", "y"), ("u", "z"), ("w", "z"), ("y", "z")]
 
 
+# every public field, by name: ``arcs`` is listed on first read, so the
+# slots alone would leave it unchecked
+STATE_GRAPH_FIELDS = ("graph", "states", "edge", "initial", "initial_mask", "accepting", "succ", "pred", "useful",
+                      "essential", "arcs", "order")
+
+
 def _same_state_graph(derived, built):
-    for field in StateGraph.__slots__:
+    assert derived.pred == tuple(_predecessors(derived.succ))
+    for field in STATE_GRAPH_FIELDS:
         assert getattr(derived, field) == getattr(built, field), field
 
 
