@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .engine import StateGraph, bounded_protocol, contains_cfp, enumerate_sr_paths, is_finite
+from .engine import StateGraph, Walk, contains_cfp, enumerate_sr_paths, is_finite, short_path_protocol
 from .errors import DomainError, InfiniteProtocolError
 from .graphs import Protocol, TwoTerminalGraph
 from .reliability import (
@@ -60,8 +60,13 @@ def path_census(graph: TwoTerminalGraph) -> PathCensus:
     """Path counts by length, from the one enumeration of the s,r-paths,
     which ``MAX_PATHS`` guards; no 2^m table is built, so the subset-scan
     guard does not apply."""
+    return _census_of(enumerate_sr_paths(graph))
+
+
+def _census_of(paths: list[Walk]) -> PathCensus:
+    """The census of the given s,r-paths."""
     counts: dict[int, int] = {}
-    for p in enumerate_sr_paths(graph):
+    for p in paths:
         counts[len(p) - 1] = counts.get(len(p) - 1, 0) + 1
     return PathCensus(min(counts) if counts else None, counts)
 
@@ -83,12 +88,14 @@ def cut_census(graph: TwoTerminalGraph) -> CutCensus:
 def near_zero_expansion(graph: TwoTerminalGraph):
     """Head data of the optimal reliability near p = 0: the distance k, the
     counts of paths of lengths k and k+1, and the finite protocol of all
-    instructions on paths of length at most k+1."""
-    census = path_census(graph)
+    instructions on paths of length at most k+1.  The paths are enumerated
+    once, for the census and the protocol."""
+    paths = enumerate_sr_paths(graph)
+    census = _census_of(paths)
     k = census.distance
     if k is None:
         raise DomainError("s and r are disconnected", code="disconnected")
-    protocol = bounded_protocol(graph, k + 1)
+    protocol = short_path_protocol(graph, paths, k + 1)
     if not is_finite(protocol):
         raise AssertionError("short-path protocol is not finite")
     return k, census.count(k), census.count(k + 1), protocol

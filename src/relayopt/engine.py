@@ -510,8 +510,14 @@ def bounded_protocol(graph: TwoTerminalGraph, m: int) -> Protocol:
     """Instructions contained in some s,r-path of length at most m."""
     if m < 1:
         raise ValueError("bound must be at least 1")
+    return short_path_protocol(graph, enumerate_sr_paths(graph), m)
+
+
+def short_path_protocol(graph: TwoTerminalGraph, paths: Iterable[Walk], m: int) -> Protocol:
+    """Instructions contained in some of the given paths of length at most
+    m: ``bounded_protocol`` for a caller that has enumerated the paths."""
     ins: set[Instruction] = set()
-    for p in enumerate_sr_paths(graph):
+    for p in paths:
         if len(p) - 1 <= m:
             ins.update(instructions_in(p))
     return Protocol(graph, ins)

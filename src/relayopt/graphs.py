@@ -35,11 +35,12 @@ def edge_key(u: str, v: str) -> Edge:
 class TwoTerminalGraph:
     """Immutable simple graph with sender ``s`` and receiver ``r``.
 
+    ``_edge_list`` holds the edges in canonical order, sorted once here.
     ``_cfp`` holds the CFP's instructions, as plain triples, once
     ``engine.cfp`` or ``engine.contains_cfp`` has enumerated them; it is
     unset until then."""
 
-    __slots__ = ("vertices", "edges", "s", "r", "_adj", "_cfp")
+    __slots__ = ("vertices", "edges", "s", "r", "_adj", "_edge_list", "_cfp")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]], s: str, r: str):
         vs = frozenset(str(v) for v in vertices)
@@ -62,6 +63,7 @@ class TwoTerminalGraph:
             seen.add(e)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", frozenset(seen))
+        object.__setattr__(self, "_edge_list", tuple(sorted(seen)))
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "r", r)
         adj: dict[str, list[str]] = {v: [] for v in sorted(vs)}
@@ -83,7 +85,7 @@ class TwoTerminalGraph:
 
     def edge_list(self) -> tuple[Edge, ...]:
         """Edges in canonical sorted order (the subset-scan bit order)."""
-        return tuple(sorted(self.edges))
+        return self._edge_list
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         if v not in self.vertices:

@@ -37,7 +37,7 @@ from .reliability import (
     polynomial_from_table,
     rho,
     rho_A,
-    subset_counts,
+    walk_table_counts,
 )
 from .roots import AlgebraicNumber, rational_between, roots_with_multiplicity
 
@@ -289,7 +289,7 @@ def candidate_polynomials(
             if any(not essential & ~earlier for earlier in tabled):
                 continue
             tabled.append(essential)
-            counts = subset_counts(graph, probmap, admits_table(sg))
+            counts = walk_table_counts(sg, probmap)
         else:
             counts = connectivity_counts(graph, probmap)
         by_counts.setdefault(tuple(itertools.chain.from_iterable(counts)), (space.removal(removed), counts))

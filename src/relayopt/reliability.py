@@ -17,21 +17,29 @@ all subsets at once.
 - Paths: the OR, over the protocol's path edge sets, of the AND of each
   set's columns; only the columns of edges on some path are built.
   ``path_counts`` builds it only for protocols that do not contain the
-  CFP.
+  CFP, over the edges of their paths alone.
 - Walks: only the k edges under the state graph's useful states can
   carry a walk, and admission is monotone in the subset, so
   ``monotone_table`` runs the state-graph search over the 2^k subsets of
   those edges alone, one subset at a time, and only on subsets none of
   whose one-smaller subsets admits.  The minimal admitting subsets it
-  finds, lifted to canonical edge positions, give the table as their
-  superset closure, built like the path table.
+  finds give the table as their superset closure, built like the path
+  table: over those k edges for the counts, and lifted to canonical edge
+  positions for ``admits_table``.
 
 Counts come from popcounts: the table ANDed with weight-layer masks gives
 the admitted subsets of each size, and overridden edges are first moved
 to the top index bits so that each override pattern is one contiguous
-block of the table.  The polynomial is assembled from those counts: each
-pattern's row becomes its plain-edge polynomial, and the rows are folded
-in pairs, one overridden edge at a time, by that edge's w and 1 - w.
+block of the table.  The walk and path counts are taken over only the k
+edges their table depends on (the relevant edges, or the edges of the
+protocol's paths) and widened to the full basis (``support_counts``):
+each of the other m - k edges may survive or fail in an admitted subset,
+so a free plain edge convolves the counts with binomial coefficients and
+a free overridden edge gives each row to both of its patterns; no 2^m
+table is built when k < m.  The polynomial is assembled from those
+counts: each pattern's row becomes its plain-edge polynomial, and the
+rows are folded in pairs, one overridden edge at a time, by that edge's w
+and 1 - w.
 
 The connectivity counts (``rho``, the cut census, and the walk and path
 counts of a protocol that contains the CFP) come from
@@ -50,6 +58,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .engine import StateGraph, _bits, _sweep, a_paths, contains_cfp, enumerate_sr_paths
@@ -136,18 +145,24 @@ def monotone_table(k: int, test: Callable[[int], bool]) -> list[int]:
     return minimal
 
 
+def _minimal_walk_subsets(sg: StateGraph) -> tuple[list[int], list[int]]:
+    """The k edges under useful states (``StateGraph.relevant_edges``) and
+    the minimal subsets of them that admit a walk, ascending, bit t of each
+    for the t-th of those edges: the per-subset walk search over their 2^k
+    subsets alone.  Only those edges can carry a walk that reaches r."""
+    relevant = sg.relevant_edges()
+    return relevant, monotone_table(len(relevant), sg.admission_test(relevant))
+
+
 def admits_table(sg: StateGraph) -> int:
     """Indicator of subsets admitting a walk of the protocol whose state
-    graph is ``sg``.  Only the k edges under useful states can carry a walk
-    that reaches r, so the per-subset walk search runs over their 2^k
-    subsets alone; its minimal admitting subsets, lifted to canonical edge
-    positions, give the table as their superset closure.  The caller
-    builds the graph, or derives it from the CFP's (``StateGraph.without``)
-    for a removal set.  The library asks for no protocol that contains the
-    CFP: ``walk_counts`` counts its walks as connectivity."""
+    graph is ``sg``: the minimal admitting subsets of the relevant edges,
+    lifted to canonical edge positions, give the table as their superset
+    closure.  The caller builds the graph, or derives it from the CFP's
+    (``StateGraph.without``) for a removal set.  The counts of a walk
+    table come from ``walk_table_counts``, which builds no 2^m table."""
     check_scan_guard(sg.graph.m)
-    relevant = sg.relevant_edges()
-    minimal = monotone_table(len(relevant), sg.admission_test(relevant))
+    relevant, minimal = _minimal_walk_subsets(sg)
     return _superset_table(sg.graph.m, (sum(1 << relevant[t] for t in _bits(S)) for S in minimal))
 
 
@@ -354,6 +369,20 @@ def _swap_index_bits(m: int, table: int, a: int, b: int) -> int:
     return table ^ t ^ t << shift
 
 
+def _table_counts(n: int, spos: Sequence[int], table: int) -> list[list[int]]:
+    """``subset_counts`` of a table over 2^n subsets whose index bits
+    ``spos`` (ascending) are the overridden edges."""
+    n_plain = n - len(spos)
+    # Move the k-th overridden edge to index bit n_plain + k, so that each
+    # pattern is one contiguous block of 2^n_plain subsets.  Going from the
+    # last, each swap trades an overridden edge for a plain one above it
+    # (spos[k] <= n_plain + k), and the edges still to move stay put.
+    for k in reversed(range(len(spos))):
+        if spos[k] != n_plain + k:
+            table = _swap_index_bits(n, table, spos[k], n_plain + k)
+    return _block_counts(table, n_plain, len(spos))
+
+
 def subset_counts(
     graph: TwoTerminalGraph,
     probmap: EdgeProbabilityMap | None,
@@ -364,17 +393,50 @@ def subset_counts(
     canonical order) and which hold i plain p-edges.  These are the
     coefficients of the admitted-subset sum in the basis
     prod_{k in pattern} w_k * prod_{k not in pattern} (1 - w_k) * p^i (1-p)^(n-i)."""
+    return _table_counts(graph.m, _overridden(graph, probmap), table)
+
+
+def support_counts(
+    graph: TwoTerminalGraph,
+    probmap: EdgeProbabilityMap | None,
+    support: Sequence[int],
+    table: int,
+) -> list[list[int]]:
+    """``subset_counts`` of the table over all 2^m subsets that admits a
+    subset exactly when its part on the k edges of ``support`` (canonical
+    positions, ascending) is in ``table``, a table over their 2^k subsets
+    (bit t of a subset for the t-th of them).  No 2^m table is built: the
+    table is counted over its own k edges, then widened to the full basis.
+    The m - k free edges may be in an admitted subset or not, so a free
+    plain edge convolves each row with C(n_free, j), the ways to take j of
+    the n_free free plain edges, and a free overridden edge gives each
+    pattern row to both of its patterns."""
     spos = _overridden(graph, probmap)
-    m = graph.m
-    n_plain = m - len(spos)
-    # Move the k-th overridden edge to index bit n_plain + k, so that each
-    # pattern is one contiguous block of 2^n_plain subsets.  Going from the
-    # last, each swap trades an overridden edge for a plain one above it
-    # (spos[k] <= n_plain + k), and the edges still to move stay put.
-    for k in reversed(range(len(spos))):
-        if spos[k] != n_plain + k:
-            table = _swap_index_bits(m, table, spos[k], n_plain + k)
-    return _block_counts(table, n_plain, len(spos))
+    overridden = set(spos)
+    inner = [t for t, e in enumerate(support) if e in overridden]
+    counts = _table_counts(len(support), inner, table)
+    if len(support) == graph.m:
+        return counts
+    n_free = graph.m - len(support) - (len(spos) - len(inner))
+    ways = [comb(n_free, j) for j in range(n_free + 1)]
+    widened = []
+    for row in counts:
+        full = [0] * (len(row) + n_free)
+        for i, c in enumerate(row):
+            if c:
+                for j, w in enumerate(ways):
+                    full[i + j] += c * w
+        widened.append(full)
+    # the row of each full pattern: its bits on the support's overridden edges
+    held = set(support)
+    rows, t = [0], 0
+    for e in spos:
+        if e in held:
+            rows += [q | 1 << t for q in rows]
+            t += 1
+        else:
+            rows += rows
+    return [list(widened[q]) for q in rows]
 
 
 def _bfs_rank(graph: TwoTerminalGraph) -> dict[str, int]:
@@ -451,56 +513,78 @@ def _greedy_rank(graph: TwoTerminalGraph, bfs: dict[str, int]) -> dict[str, int]
             v = restart
 
 
-def _decision_order(graph: TwoTerminalGraph, rank: dict[str, int]) -> list[int]:
-    """The canonical edge positions in the order the DP decides them under a
-    vertex ranking: by the rank of the later endpoint, then of the earlier."""
-    keyed = []
-    for e, (u, v) in enumerate(graph.edge_list()):
-        a, b = rank[u], rank[v]
-        keyed.append((a, b, e) if a > b else (b, a, e))
-    keyed.sort()
-    return [e for _, _, e in keyed]
-
-
 @cache
 def _bell(n: int) -> int:
     """The number of partitions of an n-set: Bell(n) = sum_i C(n - 1, i) Bell(i)."""
     return 1 if n == 0 else sum(comb(n - 1, i) * _bell(i) for i in range(n))
 
 
-def _step_bounds(graph: TwoTerminalGraph, spos: Sequence[int], order: Sequence[int]) -> Iterator[int]:
-    """For each step j of the order, Bell(w_j) * 2^o_j: a bound on the
-    (pattern, configuration) entries the DP holds after deciding the edge.
-    w_j is the width of the frontier after the step with s and r always
-    counted, since labels 0 and 1 outlive them; o_j is the number of
-    overridden edges decided so far.  A configuration is a partition of
-    those w_j vertices, and a pattern a subset of those o_j edges."""
-    edges = graph.edge_list()
-    last = {v: j for j, e in enumerate(order) for v in edges[e]}
-    last[graph.s] = last[graph.r] = -1  # counted throughout
-    entered = {graph.s, graph.r}
+def _plan(graph: TwoTerminalGraph, spos: Sequence[int], rank: dict[str, int]) -> tuple[int, list[int]]:
+    """(B, order) under a vertex ranking.  The order lists the canonical
+    edge positions as the DP decides them: by the rank of the later
+    endpoint, then of the earlier.  B sums, over its steps j, the bound
+    Bell(w_j) * 2^o_j on the (pattern, configuration) entries the DP holds
+    after deciding the j-th edge: w_j is the width of the frontier after
+    the step with s and r always counted, since labels 0 and 1 outlive
+    them, and o_j the number of overridden edges decided so far.  A
+    configuration is a partition of those w_j vertices, and a pattern a
+    subset of those o_j edges.  B is summed in one pass over the sorted
+    order, each vertex followed by its rank rather than its name."""
+    keyed = []
+    for e, (u, v) in enumerate(graph.edge_list()):
+        a, b = rank[u], rank[v]
+        keyed.append((a, b, e) if a > b else (b, a, e))
+    keyed.sort()
+    last = [0] * len(rank)
+    for j, (high, low, _) in enumerate(keyed):
+        last[high] = last[low] = j
+    entered = [False] * len(rank)
+    for x in (rank[graph.s], rank[graph.r]):  # counted throughout
+        entered[x] = True
+        last[x] = -1
     overridden = set(spos)
-    width, decided = 2, 0
-    for j, e in enumerate(order):
-        for v in edges[e]:
-            if v not in entered:
-                entered.add(v)
-                width += 1
-            if last[v] == j:
-                width -= 1
-        decided += e in overridden
-        yield _bell(width) << decided
+    bound, width, decided = 0, 2, 0
+    for j, (high, low, e) in enumerate(keyed):
+        if not entered[high]:
+            entered[high] = True
+            width += 1
+        if not entered[low]:
+            entered[low] = True
+            width += 1
+        if last[high] == j:
+            width -= 1
+        if last[low] == j:
+            width -= 1
+        if e in overridden:
+            decided += 1
+        bound += _bell(width) << decided
+    return bound, [e for _, _, e in keyed]
 
 
 def _decision_orders(graph: TwoTerminalGraph, spos: Sequence[int]) -> list[tuple[int, list[int]]]:
-    """(B, order) for the BFS and then the greedy ranking, where B sums the
-    order's step bounds."""
+    """(B, order) for the BFS and then the greedy ranking.  When the two
+    rankings coincide, so do their plans, and the BFS one is used twice."""
     bfs = _bfs_rank(graph)
-    plans = []
-    for rank in (bfs, _greedy_rank(graph, bfs)):
-        order = _decision_order(graph, rank)
-        plans.append((sum(_step_bounds(graph, spos, order)), order))
-    return plans
+    greedy = _greedy_rank(graph, bfs)
+    first = _plan(graph, spos, bfs)
+    return [first, first if greedy == bfs else _plan(graph, spos, greedy)]
+
+
+class _Settled(dict):
+    """One DP step's configurations on the new frontier, by the labels the
+    step keeps: renumbered by first occurrence keeping 0 and 1, or None
+    when label 0 or 1 is gone (the configuration is dropped).  Many
+    configurations keep the same labels, so each is renumbered once."""
+
+    __slots__ = ()
+
+    def __missing__(self, picked: tuple[int, ...]) -> tuple[int, ...] | None:
+        key = None
+        if 0 in picked and 1 in picked:
+            seen = {0: 0, 1: 1}
+            key = tuple([seen.setdefault(x, len(seen)) for x in picked])
+        self[picked] = key
+        return key
 
 
 def _frontier_steps(
@@ -529,39 +613,38 @@ def _frontier_steps(
         a, b = frontier.index(u), frontier.index(v)
         keep = [i for i, x in enumerate(frontier) if last[x] != j]
         frontier = [frontier[i] for i in keep]
-
-        def settle(labels: Sequence[int]) -> tuple[int, ...] | None:
-            """The configuration on the new frontier, its labels renumbered
-            by first occurrence keeping 0 and 1, or None if it is dropped."""
-            seen = {0: 0, 1: 1}
-            key = tuple([seen.setdefault(labels[i], len(seen)) for i in keep])
-            return key if 0 in key and 1 in key else None
+        pick = itemgetter(*keep) if len(keep) > 1 else lambda labels: tuple([labels[i] for i in keep])
+        settled = _Settled()
 
         # Where each configuration goes if e fails and if it survives, the
-        # same in every pattern (None where it is dropped).
+        # same in every pattern (None where it is dropped), worked out when
+        # the configuration is first met.  A merge is applied to the kept
+        # labels, so a component that leaves the frontier is never renamed.
         moves: dict[tuple[int, ...], tuple] = {(): ((), ())}
-        for group in states.values():
-            for labels in group:
-                if labels in moves:
-                    continue
-                grown = labels + fresh
-                la, lb = grown[a], grown[b]
-                failed = settle(grown)
-                if la == lb:  # surviving or not, e joins nothing
-                    moves[labels] = (failed, failed)
-                elif la + lb == 1:
-                    moves[labels] = (failed, ())
-                else:
-                    low, high = min(la, lb), max(la, lb)
-                    moves[labels] = (failed, settle([low if x == high else x for x in grown]))
-
         shift = 0 if flag[e] else width
         following: dict[int, dict[tuple[int, ...], int]] = {}
         for pattern, group in states.items():
             fail = following.setdefault(pattern, {})
             live = following.setdefault(pattern | flag[e], {})
             for labels, count in group.items():
-                failed, survived = moves[labels]
+                move = moves.get(labels)
+                if move is None:
+                    grown = labels + fresh
+                    la, lb = grown[a], grown[b]
+                    picked = pick(grown)
+                    failed = settled[picked]
+                    if la == lb:  # surviving or not, e joins nothing
+                        move = (failed, failed)
+                    elif la + lb == 1:
+                        move = (failed, ())
+                    else:
+                        low, high = (la, lb) if la < lb else (lb, la)
+                        if high in picked:
+                            move = (failed, settled[tuple([low if x == high else x for x in picked])])
+                        else:
+                            move = (failed, failed)
+                    moves[labels] = move
+                failed, survived = move
                 if failed is not None:
                     fail[failed] = fail.get(failed, 0) + count
                 if survived is not None:
@@ -615,8 +698,8 @@ def connectivity_counts(graph: TwoTerminalGraph, probmap: EdgeProbabilityMap | N
 
     The vertices are ranked two ways, by one BFS from s and by a greedy
     min-frontier rule (``_greedy_rank``).  Each ranking's order has a bound
-    B, the sum of its step bounds (``_step_bounds``), on the entries the DP
-    holds; the DP runs the order of smaller B, BFS on a tie.  Past
+    B, the sum of its step bounds (``_plan``), on the entries the DP holds;
+    the DP runs the order of smaller B, BFS on a tie.  Past
     ``MAX_SCAN_EDGES`` edges it is refused before its first step when that
     B passes ``MAX_DP_CONFIGURATIONS``.  Up to there it runs whatever B is:
     B counts every override pattern with every partition, so it overstates
@@ -663,21 +746,34 @@ def polynomial_from_table(
     return polynomial_from_counts(graph, probmap, subset_counts(graph, probmap, table))
 
 
+def walk_table_counts(sg: StateGraph, probmap: EdgeProbabilityMap | None) -> list[list[int]]:
+    """``subset_counts(sg.graph, probmap, admits_table(sg))``: the walk
+    table over the 2^k subsets of the k relevant edges, its superset
+    closure of the minimal admitting subsets, counted and widened
+    (``support_counts``), so no 2^m table is built when k < m."""
+    check_scan_guard(sg.graph.m)
+    relevant, minimal = _minimal_walk_subsets(sg)
+    return support_counts(sg.graph, probmap, relevant, _superset_table(len(relevant), minimal))
+
+
 def walk_counts(protocol: Protocol, probmap: EdgeProbabilityMap | None) -> list[list[int]]:
     """The subset counts of the protocol's walk table: the connectivity
-    counts, with no table built, for a protocol that contains the CFP."""
+    counts, with no table built, for a protocol that contains the CFP, and
+    otherwise ``walk_table_counts`` of its state graph."""
     graph = protocol.graph
     check_scan_guard(graph.m)
     if contains_cfp(protocol):
         return connectivity_counts(graph, probmap)
-    return subset_counts(graph, probmap, admits_table(StateGraph(protocol)))
+    return walk_table_counts(StateGraph(protocol), probmap)
 
 
 def path_counts(protocol: Protocol, probmap: EdgeProbabilityMap | None) -> list[list[int]]:
     """The subset counts of the protocol's path table.  The s,r-paths are
     enumerated once: when every one is a protocol path, the protocol
     contains the CFP and these are the connectivity counts, with no table
-    built; otherwise they give the table of the protocol paths."""
+    built; otherwise the table of the protocol paths is built over the
+    edges of those paths alone, and counted and widened
+    (``support_counts``)."""
     graph = protocol.graph
     check_scan_guard(graph.m)
     paths = enumerate_sr_paths(graph)
@@ -685,7 +781,15 @@ def path_counts(protocol: Protocol, probmap: EdgeProbabilityMap | None) -> list[
     kept = [p for p in paths if protocol.instructions.issuperset(zip(p, p[1:], p[2:]))]
     if len(kept) == len(paths):
         return connectivity_counts(graph, probmap)
-    return subset_counts(graph, probmap, _superset_table(graph.m, edge_masks(graph, kept)))
+    masks = edge_masks(graph, kept)
+    union = 0
+    for mask in masks:
+        union |= mask
+    support = _bits(union)
+    if len(support) < graph.m:  # renumber the masks' bits by the support
+        position = {e: 1 << t for t, e in enumerate(support)}
+        masks = [sum(position[e] for e in _bits(mask)) for mask in masks]
+    return support_counts(graph, probmap, support, _superset_table(len(support), masks))
 
 
 def rho_A(protocol: Protocol, probmap: EdgeProbabilityMap | None = None) -> Poly:

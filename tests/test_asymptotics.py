@@ -20,6 +20,7 @@ from relayopt import (
     subset_admits_walk,
     walk_spectrum,
 )
+from relayopt import asymptotics, engine
 from relayopt.constructions import build_breakpoint_graph, parallel, path_graph, realize
 from relayopt.engine import StateGraph
 from relayopt.optimizer import circuit_instructions
@@ -239,6 +240,27 @@ def test_censuses_past_the_scan_guard_match_the_ends_of_rho():
     in_q = 1 - poly.compose(Poly((1, -1)))
     assert all(in_q.coefficient(j) == 0 for j in range(e)) and in_q.coefficient(e) == cuts.count(e)
     assert near_zero_expansion(graph)[:3] == (k, paths.count(k), paths.count(k + 1))
+
+
+def test_near_zero_expansion_enumerates_the_paths_once(monkeypatch):
+    """The census and the short-path protocol come from one enumeration of
+    the s,r-paths, and the protocol is ``bounded_protocol(g, k + 1)``."""
+    rng = random.Random(29)
+    graphs = [build_breakpoint_graph((1, 1)), grid(3, 4)]
+    graphs += [random_connected_graph(rng, 5, 11) for _ in range(10)]
+    expected = []
+    for graph in graphs:
+        k = path_census(graph).distance
+        expected.append((k, path_census(graph).count(k), path_census(graph).count(k + 1),
+                         bounded_protocol(graph, k + 1)))
+    calls = []
+    real = engine.enumerate_sr_paths
+    for module in (engine, asymptotics):
+        monkeypatch.setattr(module, "enumerate_sr_paths", lambda g: calls.append(g) or real(g))
+    for graph, want in zip(graphs, expected):
+        calls.clear()
+        assert near_zero_expansion(graph) == want
+        assert calls == [graph]
 
 
 def test_near_one_matches_the_cut_census():

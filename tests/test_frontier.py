@@ -165,6 +165,21 @@ def test_connectivity_counts_match_the_table():
     assert disconnected >= 10 and differ >= 50
 
 
+def step_bounds(g: TwoTerminalGraph, spos: list[int], order: list[int]) -> list[int]:
+    """Bell(w_j) * 2^o_j after each step j of any order, read off the order
+    itself: w_j counts s, r and the vertices with both decided and
+    undecided edges, o_j the overridden edges decided so far.  The oracle
+    of the bound B that ``reliability._plan`` sums from a ranking."""
+    edges = g.edge_list()
+    bounds = []
+    for j in range(len(order)):
+        decided = {v for e in order[:j + 1] for v in edges[e]}
+        undecided = {v for e in order[j + 1:] for v in edges[e]}
+        width = len((decided & undecided) | {g.s, g.r})
+        bounds.append(reliability._bell(width) << sum(e in spos for e in order[:j + 1]))
+    return bounds
+
+
 def held(states: dict) -> int:
     """The (pattern, configuration) entries of the DP's groups."""
     return sum(map(len, states.values()))
@@ -172,7 +187,8 @@ def held(states: dict) -> int:
 
 def test_entries_stay_within_the_step_bounds():
     """After each step, under either order, the DP holds at most
-    Bell(w_j) * 2^o_j entries: the step bound that B sums."""
+    Bell(w_j) * 2^o_j entries: the step bound that B sums, and each plan's
+    B is the sum of those bounds over its order."""
     rng = random.Random(1017)
     cases = differential_graphs(rng)[::2]
     cases += [(g, None) for g in (complete_graph(7), wheel(12), grid(4, 4), complete_bipartite(3, 8, "a0", "a2"))]
@@ -181,9 +197,9 @@ def test_entries_stay_within_the_step_bounds():
     tight = 0
     for g, probmap in cases:
         spos = reliability._overridden(g, probmap)
-        for _, order in reliability._decision_orders(g, spos):
-            steps = list(zip(reliability._frontier_steps(g, spos, order), reliability._step_bounds(g, spos, order)))
-            assert len(steps) == g.m
+        for bound, order in reliability._decision_orders(g, spos):
+            steps = list(zip(reliability._frontier_steps(g, spos, order), step_bounds(g, spos, order)))
+            assert len(steps) == g.m and bound == sum(b for _, b in steps)
             assert all(held(states) <= bound for states, bound in steps)
             tight += any(2 * held(states) >= bound for states, bound in steps)
     assert tight >= 20
@@ -221,8 +237,8 @@ def test_the_chosen_order_has_the_smaller_bound(monkeypatch):
         connectivity_counts(g, None)
         [order] = ran
         assert order == (greedy if greedy_bound < bfs_bound else bfs)
-        bound = sum(reliability._step_bounds(g, [], order))
-        assert bound == min(bfs_bound, greedy_bound) <= sum(reliability._step_bounds(g, [], bfs))
+        bound = sum(step_bounds(g, [], order))
+        assert bound == min(bfs_bound, greedy_bound) <= sum(step_bounds(g, [], bfs))
         chosen.setdefault(g, greedy_bound < bfs_bound)
     assert all(chosen[g] for g in [SCAN_SHAPES[1], *k38[:2]])
     assert not any(chosen[g] for g in [k38[2], *grids])

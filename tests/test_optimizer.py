@@ -32,7 +32,7 @@ from relayopt.constructions import build_breakpoint_graph, parallel, path_graph,
 from relayopt.engine import StateGraph, _bits, _predecessors, essential_instructions
 from relayopt.optimizer import _minimal_removal_family, _upper_envelope
 from relayopt.polys import Poly
-from relayopt.reliability import admits_table
+from relayopt.reliability import admits_table, walk_table_counts
 from relayopt.roots import AlgebraicNumber
 
 from conftest import grid, random_connected_graph, random_graph, random_sptree, relabeled
@@ -402,11 +402,11 @@ def test_pruning_differential_relabeled_inputs(b0_graph, monkeypatch):
     relabeled b0 those build no table, and every output stays the same."""
     built = []
 
-    def counted(sg):
+    def counted(sg, probmap):
         built.append(sg)
-        return admits_table(sg)
+        return walk_table_counts(sg, probmap)
 
-    monkeypatch.setattr(optimizer, "admits_table", counted)  # the binding candidates call
+    monkeypatch.setattr(optimizer, "walk_table_counts", counted)  # the binding candidates call
     rng = random.Random(1997)
     # one renaming of b0: the oracle's removal family is cached per CFP
     graph = relabeled(b0_graph, rng)
@@ -446,12 +446,12 @@ def test_candidates_and_discrepancies_rebuild_no_protocol_per_removal(b0_graph, 
     """Every removal set's state graph is derived from the CFP's: one
     ``StateGraph`` is built from a protocol per call, the CFP's, and no
     protocol is rebuilt with ``Protocol.minus``.  The walk tables are those
-    the protocol per set built: one per tabled candidate (on b0, whichever
-    edges are overridden, every set is tabled), one per nonempty removal
-    with its event checked (the check reads the table the discrepancy
-    built), and none for the empty removal or the one
-    candidate of a finite CFP.  The knot's removal search passes its
-    guard, so it takes discrepancies only."""
+    the protocol per set built: one per tabled candidate, counted by
+    ``walk_table_counts`` (on b0, whichever edges are overridden, every set
+    is tabled), one per nonempty removal with its event checked (the check
+    reads the table the discrepancy built), and none for the empty removal
+    or the one candidate of a finite CFP.  The knot's removal search passes
+    its guard, so it takes discrepancies only."""
     knot = TwoTerminalGraph({v for e in KNOT_EDGES for v in e}, KNOT_EDGES, "h", "l")
     overrides = EdgeProbabilityMap.with_overrides(b0_graph, {("s", "1"): X * X, ("3", "4"): 2 * X - X * X})
     routes = realize(parallel(path_graph(3), path_graph(4)))
@@ -465,6 +465,7 @@ def test_candidates_and_discrepancies_rebuild_no_protocol_per_removal(b0_graph, 
     monkeypatch.setattr(StateGraph, "__init__", lambda sg, protocol: built.append(protocol) or real_init(sg, protocol))
     monkeypatch.setattr(Protocol, "minus", lambda protocol, removed: minus.append(protocol) or real_minus(protocol, removed))
     monkeypatch.setattr(optimizer, "admits_table", lambda sg: tables.append(sg) or admits_table(sg))
+    monkeypatch.setattr(optimizer, "walk_table_counts", lambda sg, pm: tables.append(sg) or walk_table_counts(sg, pm))
     for (g, pm), candidates in expected.items():
         built.clear()
         tables.clear()

@@ -31,6 +31,7 @@ from relayopt.reliability import (
     MAX_SPECIAL_EDGES,
     admits_table,
     connectivity_table,
+    path_counts,
     path_table,
     rho_A,
     spectrum_from_table,
@@ -282,31 +283,32 @@ def test_only_protocols_containing_the_cfp_skip_the_walk_search(monkeypatch):
     """``walk_counts`` takes the connectivity counts exactly when the
     protocol contains every CFP instruction, and then builds no table:
     removing any one of them, even where the walk table comes out the same,
-    sends the protocol back to the walk search, over the subsets of the
-    edges under its useful states."""
+    sends the protocol back to the walk search (``walk_table_counts``),
+    over the subsets of the edges under its useful states."""
     def no_table(graph):
         raise AssertionError("connectivity table built")
 
-    searched, tables = [], []
-    real_search, real_table = reliability.monotone_table, reliability.admits_table
+    searched, tabled = [], []
+    real_search, real_counts = reliability.monotone_table, reliability.walk_table_counts
     monkeypatch.setattr(reliability, "monotone_table", lambda m, test: searched.append(m) or real_search(m, test))
-    monkeypatch.setattr(reliability, "admits_table", lambda sg: tables.append(real_table(sg)) or tables[-1])
+    monkeypatch.setattr(reliability, "walk_table_counts", lambda sg, pm: tabled.append(sg) or real_counts(sg, pm))
     monkeypatch.setattr(reliability, "connectivity_table", no_table)
     rng = random.Random(31)
     for graph in (random_graph(rng, 9), adjacent_graph(rng, 8), grid(2, 3)):
         for protocol in cfp_supersets(rng, graph):
             searched.clear()
-            tables.clear()
+            tabled.clear()
             walk_counts(protocol, None)
-            assert not searched and not tables
+            assert not searched and not tabled
         for ins in sorted(cfp(graph).instructions):
             protocol = cfp(graph).minus([ins])
             searched.clear()
-            tables.clear()
+            tabled.clear()
             counts = walk_counts(protocol, None)
-            assert searched == [len(relevant_edges_oracle(protocol))] and len(tables) == 1
-            assert tables[0] == table_of(graph.m, lambda S: subset_admits_walk(protocol, subset_edges(graph, S)))
-            assert counts == subset_counts(graph, None, tables[0])
+            assert searched == [len(relevant_edges_oracle(protocol))] and len(tabled) == 1
+            table = admits_table(tabled[0])
+            assert table == table_of(graph.m, lambda S: subset_admits_walk(protocol, subset_edges(graph, S)))
+            assert counts == subset_counts(graph, None, table)
 
 
 def near_zero_protocol(graph: TwoTerminalGraph) -> Protocol:
@@ -391,6 +393,68 @@ def test_walk_search_visits_only_the_subsets_of_the_relevant_edges(monkeypatch):
     assert ks[:2] == [1, 16] and all(k < 14 for k in ks[2:4])
     # every edge of the 3x4 grid is on a shortest or next-shortest path
     assert ks[4] == grid(3, 4).m
+
+
+def path_support(protocol: Protocol) -> list[int]:
+    """Canonical indices of the edges on some protocol path."""
+    return sorted({e for mask in path_oracle_masks(protocol) for e in range(protocol.graph.m) if mask >> e & 1})
+
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_counts_over_the_support_match_the_full_tables(m):
+    """``walk_counts`` and ``path_counts`` count over the k edges their
+    table depends on and widen to the full basis; they equal the counts of
+    the 2^m walk table and path table, on the near-zero protocols of graphs
+    with an s-r edge or r two edges from s (most edges irrelevant), random
+    protocols and the empty one, with overridden edges inside and outside
+    the support."""
+    rng = random.Random(2900 + m)
+    inside = outside = 0
+    for _ in range(3):
+        for graph in (adjacent_graph(rng, m), two_apart_graph(rng, m)):
+            for protocol in [near_zero_protocol(graph), *random_protocols(rng, graph), Protocol(graph, [])]:
+                walks, paths = admits_table(StateGraph(protocol)), path_table(protocol)
+                supports = (set(relevant_edges_oracle(protocol)), set(path_support(protocol)))
+                for k in sorted({0, 1, m // 2, m}):
+                    probmap, spos = with_overrides(rng, graph, k)
+                    assert walk_counts(protocol, probmap) == subset_counts(graph, probmap, walks)
+                    assert path_counts(protocol, probmap) == subset_counts(graph, probmap, paths)
+                    for support in supports:
+                        if len(support) < m:
+                            inside += any(e in support for e in spos)
+                            outside += any(e not in support for e in spos)
+    assert inside >= 20 and outside >= 20
+
+
+def test_counts_over_a_support_build_no_table_over_all_edges(monkeypatch):
+    """When the walk or path table depends on k < m edges, no table, column
+    or count over 2^m subsets is built: on K3,8 (m = 24) the near-zero
+    protocol from a0 to b7 needs the one edge a0-b7 and from a0 to a2 the
+    16 edges a0-b and a2-b, also with the other edges overridden."""
+    widths = []
+    real_full, real_column, real_block = reliability._full, reliability._column, reliability._block_counts
+    monkeypatch.setattr(reliability, "_full", lambda m: widths.append(m) or real_full(m))
+    monkeypatch.setattr(reliability, "_column", lambda m, e: widths.append(m) or real_column(m, e))
+    monkeypatch.setattr(reliability, "_block_counts",
+                        lambda table, n, k: widths.append(n + k) or real_block(table, n, k))
+    monkeypatch.setattr(reliability, "admits_table", boom)
+    monkeypatch.setattr(reliability, "path_table", boom)
+    a, b = [f"a{i}" for i in range(3)], [f"b{i}" for i in range(8)]
+    x = Poly.x()
+    for r, k, expected in (("b7", 1, x), ("a2", 16, 1 - (1 - x * x) ** 8)):
+        graph = TwoTerminalGraph(a + b, [(u, v) for u in a for v in b], "a0", r)
+        protocol = near_zero_protocol(graph)
+        outside = [e for e in graph.edge_list() if not set(e) & {"a0", r}]
+        heavy = EdgeProbabilityMap.with_overrides(graph, {e: x * x for e in outside[:MAX_SPECIAL_EDGES]})
+        for probmap in (None, heavy):
+            for reliability_of in (rho_A, reliability.rho_prime_A):
+                widths.clear()
+                assert reliability_of(protocol, probmap) == expected
+                assert widths and max(widths) == k
+
+
+def boom(*args):
+    raise AssertionError("a table over all 2^m subsets was built")
 
 
 def test_superset_tables_build_only_the_columns_of_their_masks(monkeypatch):
